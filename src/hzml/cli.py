@@ -222,21 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
         "over zeros of higher derivatives, with the five-term prediction.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV table (zeros only)")
+    common.add_argument("--csv", action="store_true", help="CSV table (zeros only)")
     common.add_argument("--out", metavar="PATH", help="write report to a file")
     common.add_argument(
         "--workers",
         type=_positive_int,
         default=_default_workers(),
         help="worker threads (default: HZML_WORKERS or 1)",
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="quadrature tolerance override (cmoment)",
     )
 
     sub = ap.add_subparsers(dest="command", required=True)
@@ -262,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="continuous moment of Z^(j) squared")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--t-max", type=float, required=True)
+    p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
 
     p = sub.add_parser("coeff", parents=[common],
                        help="five-term coefficient breakdown")

@@ -39,6 +39,7 @@ from .zetacore import T_CAP, EvalConfig, zeta_deriv, zeta_jets
 
 K_CAP = 8
 _LEAK_BOUND = 1e-8
+_POOL_MIN_POINTS = 512
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 Monomial = tuple[int, ...]
@@ -149,9 +150,12 @@ def zk_many(s: np.ndarray, k: int, cfg: EvalConfig | None = None) -> np.ndarray:
     zj = zeta_jets(s, k, cfg)
     if k == 0:
         return zj[:, 0].copy()
-    om = omega_jets(s, k - 1)
-    fvals = _fk_values(om, k)
-    out = np.zeros(s.shape[0], dtype=complex)
+    return _binomial_sum(zj, _fk_values(omega_jets(s, k - 1), k), k)
+
+
+def _binomial_sum(zj: np.ndarray, fvals: np.ndarray, k: int) -> np.ndarray:
+    """Z_k = sum_mu C(k, mu) f_{k-mu} zeta^(mu) from zeta jets and f values."""
+    out = np.zeros(zj.shape[0], dtype=complex)
     for mu in range(k + 1):
         out += math.comb(k, mu) * fvals[:, k - mu] * zj[:, mu]
     return out
@@ -161,6 +165,13 @@ def zk_value(s: complex, k: int, cfg: EvalConfig | None = None) -> ZkValue:
     return ZkValue(s=complex(s), k=k, value=complex(zk_many(np.array([s]), k, cfg)[0]))
 
 
+def _leak(w: np.ndarray) -> np.ndarray:
+    """Scaled imaginary residue |Im w| / (1 + |Re w|); NaN wherever w is not
+    finite, so a guard written as `not leak <= bound` rejects it."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(w), np.abs(w.imag) / (1.0 + np.abs(w.real)), np.nan)
+
+
 def _z_core(
     t: np.ndarray, j: int, cfg: EvalConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +179,60 @@ def _z_core(
     t-bound so the [0, 2] quadrature sliver can reuse it."""
     s = 0.5 + 1j * t
     w = _I_POW[j % 4] * np.exp(1j * phase_theta(t)) * zk_many(s, j, cfg)
-    leak = np.abs(w.imag) / (1.0 + np.abs(w.real))
-    return w.real, leak
+    return w.real, _leak(w)
+
+
+def _z_pair_core(
+    t: np.ndarray, k: int, cfg: EvalConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z^(k)(t), Z^(k+1)(t) and the larger of their residues, from one
+    zeta jet of order k+1 and one omega jet of order k."""
+    s = 0.5 + 1j * t
+    zj = zeta_jets(s, k + 1, cfg)
+    fvals = _fk_values(omega_jets(s, k), k + 1)
+    rot = np.exp(1j * phase_theta(t))
+    w0 = _I_POW[k % 4] * rot * _binomial_sum(zj, fvals, k)
+    w1 = _I_POW[(k + 1) % 4] * rot * _binomial_sum(zj, fvals, k + 1)
+    return w0.real, w1.real, np.maximum(_leak(w0), _leak(w1))
+
+
+def map_chunks(fn, t: np.ndarray, workers: int) -> tuple[np.ndarray, ...]:
+    """fn(t), where fn maps a batch of points to a tuple of per-point arrays.
+
+    Above 512 points and with workers > 1 the batch is split into 4 chunks
+    per worker and run on a thread pool (the numpy kernels release the GIL);
+    the parts are joined in order. fn must be pure per point, which makes
+    the result bitwise independent of the split.
+    """
+    if workers > 1 and t.size > _POOL_MIN_POINTS:
+        chunks = np.array_split(t, workers * 4)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(fn, chunks))
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return fn(t)
+
+
+def _line_points(t, j: int) -> np.ndarray:
+    if not (0 <= j <= K_CAP):
+        raise DomainError(f"j={j} outside 0..{K_CAP}")
+    t = np.asarray(t, dtype=float).ravel()
+    if t.size and (t.min() < 2.0 or t.max() > T_CAP):
+        raise DomainError(f"t must lie in [2, {T_CAP}]")
+    return t
+
+
+def _check_leak(leak: np.ndarray) -> float:
+    max_leak = float(leak.max()) if leak.size else 0.0
+    if not max_leak <= _LEAK_BOUND:
+        cause = (
+            "a value is not finite"
+            if math.isnan(max_leak)
+            else "chi^(-1/2) branch is broken"
+        )
+        raise BranchError(
+            f"imaginary residue {max_leak:.3e} exceeds {_LEAK_BOUND:.1e}; {cause}"
+        )
+    return max_leak
 
 
 def z_deriv_many(
@@ -182,30 +245,34 @@ def z_deriv_many(
     """Z^(j) on a batch of critical-line heights with the branch check.
 
     Results are bitwise independent of the worker count: every point's value
-    is a pure function of the point alone.
+    is a pure function of the point alone. A residue above 1e-8, or any
+    non-finite value, raises BranchError.
     """
-    if not (0 <= j <= K_CAP):
-        raise DomainError(f"j={j} outside 0..{K_CAP}")
-    t = np.asarray(t, dtype=float).ravel()
-    if t.size and (t.min() < 2.0 or t.max() > T_CAP):
-        raise DomainError(f"t must lie in [2, {T_CAP}]")
-    if workers > 1 and t.size > 512:
-        chunks = np.array_split(t, workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda c: _z_core(c, j, cfg), chunks))
-        vals = np.concatenate([p[0] for p in parts])
-        leak = np.concatenate([p[1] for p in parts])
-    else:
-        vals, leak = _z_core(t, j, cfg)
-    max_leak = float(leak.max()) if leak.size else 0.0
-    if max_leak > _LEAK_BOUND:
-        raise BranchError(
-            f"imaginary residue {max_leak:.3e} exceeds {_LEAK_BOUND:.1e}; "
-            "chi^(-1/2) branch is broken"
-        )
+    t = _line_points(t, j)
+    vals, leak = map_chunks(lambda c: _z_core(c, j, cfg), t, workers)
+    max_leak = _check_leak(leak)
     if return_diag:
         return vals, max_leak
     return vals
+
+
+def z_pair_many(
+    t: np.ndarray,
+    k: int,
+    cfg: EvalConfig | None = None,
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Z^(k), Z^(k+1)) on a batch of critical-line heights, 0 <= k <= 8,
+    from one zeta_jets(s, k+1) / omega_jets(s, k) / phase_theta pass.
+
+    The order-k values agree with z_deriv_many(t, k) to roundoff, not
+    bitwise: the jet order sets the Euler-Maclaurin length and, from order
+    4 up, the precision path. The branch check covers both orders.
+    """
+    t = _line_points(t, k)
+    vals, dvals, leak = map_chunks(lambda c: _z_pair_core(c, k, cfg), t, workers)
+    _check_leak(leak)
+    return vals, dvals
 
 
 def z_deriv(t: float, j: int, cfg: EvalConfig | None = None) -> float:

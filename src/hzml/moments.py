@@ -2,8 +2,11 @@
 moment prediction polynomial.
 
 Zeros of Z^(k) sit in near-regular gaps 2 pi / log(t/2pi); the scanner
-samples several points per expected gap, brackets sign changes, and
-bisects every bracket in lockstep to width 1e-9. A census against
+samples several points per expected gap with z_deriv_many and brackets
+sign changes. Each bracket is refined on its own by safeguarded Newton
+on z_pair_many, which gives Z^(k) and Z^(k+1) from one jet pass, and the
+converged point is checked with the scan's evaluator at the ends of a
+bracket of width 1e-9 around it (see _refine). A census against
 
     N(T) ~ (T/2pi) log(T/2pi) - T/2pi
 
@@ -23,26 +26,34 @@ c_n.
 
 Everything here is bit-deterministic for any worker count: grids and
 panels are built sequentially, each point's value depends only on the
-point, and merges happen in fixed ascending order.
+point, each zero's refinement depends only on its own bracket, and merges
+happen in fixed ascending order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import breakdown
 from .errors import CompletenessAlarm, DomainError, QuadratureError
-from .hardyz import K_CAP, _z_core, window_log, z_deriv_many
+from .hardyz import (
+    K_CAP,
+    _z_core,
+    map_chunks,
+    window_log,
+    z_deriv_many,
+    z_pair_many,
+)
 from .zetacore import T_CAP, EvalConfig, stieltjes
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL64 = np.polynomial.legendre.leggauss(64)
 _BRACKET_WIDTH = 1e-9
+_NEWTON_STEP = 0.25 * _BRACKET_WIDTH
 _MAX_DOUBLINGS = 3
 _MAX_REFINE_ROUNDS = 14
 HALL_G_CAP = 20
@@ -110,6 +121,78 @@ def count_expected(T: float) -> float:
     return r * math.log(r) - r
 
 
+def _final_bracket(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[a, b] around x with b - a <= 1e-9 exactly (x +- 5e-10 can round to
+    a wider interval), kept inside the evaluator's domain."""
+    a = np.maximum(x - 0.5 * _BRACKET_WIDTH, 2.0)
+    b = np.minimum(a + _BRACKET_WIDTH, T_CAP)
+    b = np.where(b - a > _BRACKET_WIDTH, np.nextafter(b, a), b)
+    return a, b
+
+
+def _refine(k, lo, hi, flo, fhi, workers, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros and bracket widths for the sign-change brackets [lo, hi] of
+    Z^(k), whose scan values are flo and fhi.
+
+    Safeguarded Newton on z_pair_many, started at the regula-falsi point.
+    Each round evaluates only the points still active; each point moves the
+    end of its bracket that has the sign of Z^(k) at the new point, then
+    takes the Newton step, or bisects if that step lies outside the bracket
+    or does not halve the previous step. A point stops when its own step is
+    at most 2.5e-10, so its result depends on its values alone. Stopped
+    points are checked with z_deriv_many(., k), the scan's evaluator, at
+    the ends of a bracket of width 1e-9 centred on the iterate; a point
+    that fails the check goes back into the loop and bisects until its
+    bracket is that narrow.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    sgn = np.sign(flo)
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    step = hi - lo
+    bisect = np.zeros(lo.size, dtype=bool)
+    zeros = np.empty(lo.size)
+    widths = np.empty(lo.size)
+    active = np.arange(lo.size)
+    stopped = active[:0]
+    while active.size:
+        xa = x[active]
+        f, fp = z_pair_many(xa, k, cfg, workers=workers)
+        same = np.sign(f) == sgn[active]
+        lo[active] = np.where(same | (f == 0.0), xa, lo[active])
+        hi[active] = np.where(same, hi[active], xa)
+        la, ha = lo[active], hi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xa - f / fp
+        newton = (
+            ~bisect[active]
+            & (xn >= la)
+            & (xn <= ha)
+            & (np.abs(xn - xa) <= 0.5 * step[active])
+        )
+        x[active] = np.where(newton, xn, 0.5 * (la + ha))
+        step[active] = np.abs(x[active] - xa)
+        done = np.where(
+            bisect[active], ha - la <= _BRACKET_WIDTH, step[active] <= _NEWTON_STEP
+        )
+        halved = active[done & bisect[active]]
+        zeros[halved] = 0.5 * (lo[halved] + hi[halved])
+        widths[halved] = hi[halved] - lo[halved]
+        stopped = np.concatenate([stopped, active[done & ~bisect[active]]])
+        active = active[~done]
+        if active.size == 0 and stopped.size:
+            pts, stopped = stopped, stopped[:0]
+            a, b = _final_bracket(x[pts])
+            v = z_deriv_many(np.concatenate([a, b]), k, cfg, workers=workers)
+            va, vb = v[: pts.size], v[pts.size :]
+            ok = (va * vb < 0.0) | (va == 0.0) | (vb == 0.0)
+            zeros[pts[ok]] = 0.5 * (a[ok] + b[ok])
+            widths[pts[ok]] = b[ok] - a[ok]
+            active = pts[~ok]
+            bisect[active] = True
+            x[active] = 0.5 * (lo[active] + hi[active])
+    return zeros, widths
+
+
 def find_zeros(
     k: int,
     t_lo: float,
@@ -118,7 +201,13 @@ def find_zeros(
     workers: int = 1,
     cfg: EvalConfig | None = None,
 ) -> ZeroList:
-    """Sign-scan zeros of Z^(k) on [t_lo, t_hi], bisected to width 1e-9."""
+    """Zeros of Z^(k) on [t_lo, t_hi]: a sign scan at `density` points per
+    expected gap, then safeguarded Newton inside each sign-change bracket.
+
+    Every zero is the midpoint of a bracket of width at most 1e-9 across
+    which z_deriv_many(., k) changes sign (width 0 where a scan point is an
+    exact zero). The scan misses pairs of zeros closer than its step.
+    """
     if not (0 <= k <= K_CAP):
         raise DomainError(f"k={k} outside 0..{K_CAP}")
     if not (2.0 <= t_lo < t_hi <= T_CAP):
@@ -136,23 +225,11 @@ def find_zeros(
 
     exact_hits = [float(pts[i]) for i in np.nonzero(vals == 0.0)[0]]
     flip = np.nonzero((vals[:-1] * vals[1:]) < 0.0)[0]
-    lo = pts[flip].copy()
-    hi = pts[flip + 1].copy()
-    slo = vals[flip].copy()
+    zeros, widths = _refine(
+        k, pts[flip], pts[flip + 1], vals[flip], vals[flip + 1], workers, cfg
+    )
 
-    while lo.size and np.max(hi - lo) > _BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        vm = z_deriv_many(mid, k, cfg, workers=workers)
-        go_right = (slo * vm) < 0.0
-        hit = vm == 0.0
-        hi = np.where(go_right, mid, hi)
-        lo = np.where(go_right | hit, lo, mid)
-        slo = np.where(go_right | hit, slo, vm)
-        # a midpoint landing exactly on a zero collapses its bracket
-        lo = np.where(hit, mid, lo)
-        hi = np.where(hit, mid, hi)
-
-    found = [(0.5 * (a + b), b - a) for a, b in zip(lo, hi)]
+    found = list(zip(zeros, widths))
     found.extend((z, 0.0) for z in exact_hits)
     found.sort()
     return ZeroList(
@@ -231,15 +308,7 @@ def _panel_integrals(
 
 
 def _z_core_batch(pts, j, workers, cfg):
-    if workers > 1 and pts.size > 512:
-        chunks = np.array_split(pts, workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda c: _z_core(c, j, cfg), chunks))
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
-    return _z_core(pts, j, cfg)
+    return map_chunks(lambda c: _z_core(c, j, cfg), pts, workers)
 
 
 def continuous_moment(

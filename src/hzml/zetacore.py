@@ -59,18 +59,13 @@ class EvalConfig:
     """Knobs for the Euler-Maclaurin engine.
 
     bernoulli_order is the number q of correction terms (using B_2 .. B_2q);
-    max_em_terms caps the Dirichlet truncation length N. target_abs_tol is
-    validated but read nowhere: the truncation rule in _n_terms is fixed,
-    and roundoff is not bounded by it (see the module docstring).
+    max_em_terms caps the Dirichlet truncation length N.
     """
 
-    target_abs_tol: float = 1e-12
     max_em_terms: int = 200_000
     bernoulli_order: int = 12
 
     def __post_init__(self) -> None:
-        if not (self.target_abs_tol > 0):
-            raise ValueError("target_abs_tol must be positive")
         if self.max_em_terms < 30:
             raise ValueError("max_em_terms must allow at least 30 terms")
         if self.bernoulli_order < 4 or self.bernoulli_order % 2:

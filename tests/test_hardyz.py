@@ -28,10 +28,11 @@ from hzml.hardyz import (
     window_log,
     z_deriv,
     z_deriv_many,
+    z_pair_many,
     zk_many,
     zk_value,
 )
-from hzml.zetacore import zeta_deriv
+from hzml.zetacore import EvalConfig, zeta_deriv
 
 GAMMA_1 = 14.134725141734693  # first zero of Z, classical reference
 
@@ -160,6 +161,38 @@ def test_branch_tripwire_fires(monkeypatch):
     monkeypatch.setattr(hz, "phase_theta", lambda t: real_theta(t) + 0.3)
     with pytest.raises(BranchError):
         z_deriv_many(np.linspace(20.0, 21.0, 5), 0)
+
+
+def test_non_finite_values_raise():
+    # q = 40 overflows the unscaled rising factorial at large t: every value
+    # is NaN, and NaN > bound is False, so the guard must be written the
+    # other way round
+    cfg = EvalConfig(bernoulli_order=40)
+    t = np.array([3.0e4, 4.5e4])
+    with np.errstate(all="ignore"), pytest.raises(BranchError):
+        z_deriv_many(t, 0, cfg, return_diag=True)
+    with np.errstate(all="ignore"), pytest.raises(BranchError):
+        z_pair_many(t, 0, cfg)
+
+
+@pytest.mark.parametrize("k", [0, 3, 8])
+def test_z_pair_matches_single_orders(k):
+    # order 4 runs the zeta jets in longdouble, so k = 3 pairs a double
+    # path (z_deriv_many) with a longdouble one
+    rng = np.random.default_rng(k)
+    t = np.concatenate([rng.uniform(10.0, 500.0, 30), rng.uniform(500.0, 3.0e4, 10)])
+    vals, dvals = z_pair_many(t, k)
+    ref = z_deriv_many(t, k)
+    assert np.all(np.abs(vals - ref) <= 1e-11 * (1.0 + np.abs(ref)))
+    if k < 8:
+        ref = z_deriv_many(t, k + 1)
+        assert np.all(np.abs(dvals - ref) <= 1e-11 * (1.0 + np.abs(ref)))
+    else:
+        # Z^(9) lies past z_deriv_many's cap: 5-point differences of Z^(8)
+        h = 1e-3
+        f = {d: z_deriv_many(t[:30] + d * h, 8) for d in (-2, -1, 1, 2)}
+        fd = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * h)
+        assert np.all(np.abs(dvals[:30] - fd) <= 1e-5 * np.max(np.abs(fd)))
 
 
 def test_z_deriv_domain():

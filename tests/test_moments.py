@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzml.errors import DomainError
+from hzml.errors import BranchError, DomainError
+from hzml.hardyz import z_deriv_many
 from hzml.moments import (
     ZeroList,
     continuous_moment,
@@ -30,7 +31,7 @@ from hzml.moments import (
     interlacing_report,
     moment_report,
 )
-from hzml.zetacore import stieltjes
+from hzml.zetacore import EvalConfig, stieltjes
 
 GAMMA_1 = 14.134725141734693
 GAMMA_2 = 21.022039638771555
@@ -119,8 +120,44 @@ def test_find_zeros_locates_first_three():
     assert zl.k == 0
     assert len(zl.zeros) == 3
     for got, ref in zip(zl.zeros, (GAMMA_1, GAMMA_2, GAMMA_3)):
-        assert abs(got - ref) <= 1e-6
-    assert max(zl.bracket_widths) <= 1e-8
+        assert abs(got - ref) <= 1e-12
+    assert max(zl.bracket_widths) <= 1e-9
+
+
+def test_find_zeros_brackets_are_sign_checked():
+    zl = find_zeros(1, 2.0, 600.0)
+    z = np.array(zl.zeros)
+    w = np.array(zl.bracket_widths)
+    assert len(z) > 300
+    assert np.all((w > 0.0) & (w <= 1e-9))
+    assert np.all(z_deriv_many(z - 0.5 * w, 1) * z_deriv_many(z + 0.5 * w, 1) < 0.0)
+
+
+def test_find_zeros_failed_check_bisects(monkeypatch):
+    # shifting the pair evaluator's Z values by 1e-7 moves every Newton limit
+    # ~1e-7 off the zero, so every check with z_deriv_many fails; each point
+    # must then bisect its own bracket down to width 1e-9
+    import hzml.moments as mo
+
+    real = mo.z_pair_many
+
+    def shifted(t, k, cfg=None, workers=1):
+        vals, dvals = real(t, k, cfg, workers)
+        return vals + 1e-7, dvals
+
+    monkeypatch.setattr(mo, "z_pair_many", shifted)
+    zl = find_zeros(0, 10.0, 26.0)
+    assert len(zl.zeros) == 3
+    for got, ref in zip(zl.zeros, (GAMMA_1, GAMMA_2, GAMMA_3)):
+        assert 1e-9 < abs(got - ref) <= 1e-6
+    assert max(zl.bracket_widths) <= 1e-9
+
+
+def test_find_zeros_non_finite_raises():
+    # q = 40 makes every Z value NaN here (mpmath has 3 zeros in the window);
+    # the scan must raise rather than return an empty list
+    with np.errstate(all="ignore"), pytest.raises(BranchError):
+        find_zeros(0, 45000.0, 45002.0, cfg=EvalConfig(bernoulli_order=40))
 
 
 def test_find_zeros_empty_window():
@@ -143,10 +180,13 @@ def test_find_zeros_density_stability():
 
 
 def test_find_zeros_worker_determinism():
-    base = find_zeros(1, 100.0, 220.0)
-    for workers in (3, 8):
-        again = find_zeros(1, 100.0, 220.0, workers=workers)
+    # both the scan (~8,400 points) and the refinement batches (~1,300)
+    # exceed the 512-point threshold above which work goes to the pool
+    base = find_zeros(1, 100.0, 2000.0)
+    for workers in (2, 3):
+        again = find_zeros(1, 100.0, 2000.0, workers=workers)
         assert again.zeros == base.zeros
+        assert again.bracket_widths == base.bracket_widths
 
 
 def test_find_zeros_domain():

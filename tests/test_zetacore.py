@@ -126,8 +126,6 @@ def test_complex_point_validation():
 def test_eval_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(bernoulli_order=7)
-    with pytest.raises(ValueError):
-        EvalConfig(target_abs_tol=0.0)
     cfg = EvalConfig(bernoulli_order=8)
     assert zeta_deriv(0.5 + 30.0j, 0, cfg) == pytest.approx(
         zeta_deriv(0.5 + 30.0j, 0), abs=1e-12
