@@ -18,7 +18,6 @@ depend only on the individual point, never on the batch around it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,6 @@ _SHIFT_RADIUS = 18.0
 _STIRLING_TERMS = 10  # for log Gamma
 _PSI_TERMS = 16  # for psi^(r)
 M_CAP = 12
-
-
-@dataclass(frozen=True)
-class OmegaJet:
-    """omega and its derivatives at one point: values[r] = omega^(r)(s)."""
-
-    s: complex
-    values: tuple[complex, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
 
 
 def _shift_counts(z: np.ndarray) -> np.ndarray:
@@ -189,11 +176,6 @@ def omega_jets(s: np.ndarray, m: int) -> np.ndarray:
     out = -psi_jets(s, m) + (math.pi / 2.0) * tan_half_pi_jets(s, m)
     out[:, 0] += _LOG_2PI
     return out
-
-
-def omega_jet(s: complex, m: int) -> OmegaJet:
-    vals = omega_jets(np.array([s]), m)[0]
-    return OmegaJet(s=complex(s), values=tuple(complex(v) for v in vals))
 
 
 def phase_theta(t: np.ndarray | float) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: theta-roots, zeros, moment, cmoment, coeff, identities,
-verify. Reports are JSON by default (top-level "schema": "1", every float
+Subcommands: theta-roots, zeros, moment (alias verify), cmoment, coeff,
+identities. Reports are JSON by default (top-level "schema": "1", every float
 at 17 significant digits); `zeros --csv` emits the zeros table instead.
 Output is byte-identical across runs and worker counts: no timestamps, no
 environment echoes, deterministic numerics underneath.
@@ -118,11 +118,11 @@ def _cmd_zeros(args):
     }
 
 
-def _moment_payload(command: str, args) -> dict:
+def _cmd_moment(args) -> dict:
     r = moment_report(args.j, args.k, args.t_max, args.density, args.workers)
     return {
         "schema": "1",
-        "command": command,
+        "command": args.command,
         "j": r.j,
         "k": r.k,
         "T": r.T,
@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--density", type=int, default=6)
 
-    p = sub.add_parser("moment", parents=[common],
-                       help="discrete moment over zeros of Z^(k)")
+    p = sub.add_parser("moment", aliases=["verify"], parents=[common],
+                       help="discrete moment over zeros of Z^(k), measured "
+                       "against the five-term prediction")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t-max", type=float, required=True)
@@ -267,13 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="combinatorial identity sweep")
     p.add_argument("--j-max", type=int, default=6)
     p.add_argument("--k-max", type=int, default=6)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="end-to-end measured vs predicted moment")
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--density", type=int, default=6)
     return ap
 
 
@@ -287,16 +281,14 @@ def main(argv: list[str] | None = None) -> int:
             payload = _cmd_theta_roots(args)
         elif args.command == "zeros":
             payload = _cmd_zeros(args)
-        elif args.command == "moment":
-            payload = _moment_payload("moment", args)
+        elif args.command in ("moment", "verify"):
+            payload = _cmd_moment(args)
         elif args.command == "cmoment":
             payload = _cmd_cmoment(args)
         elif args.command == "coeff":
             payload = _cmd_coeff(args)
-        elif args.command == "identities":
-            payload = _cmd_identities(args)
         else:
-            payload = _moment_payload("verify", args)
+            payload = _cmd_identities(args)
     except (DomainError, PoleProximityError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 2

@@ -7,8 +7,9 @@ form
 
 where f_0 = 1 and f_k = f_{k-1}' - (1/2) omega f_{k-1} are polynomials in
 omega and its derivatives (f_1 = -omega/2, f_2 = -omega'/2 + omega^2/4, ...).
-The monomial dictionaries for the f_k are built once, exactly, in rational
-arithmetic. On the critical line
+They are evaluated pointwise from one omega jet by the derivative recursion
+f_r = sum_{i<r} C(r-1, i) (-omega^(i)/2) f_{r-1-i}, and one zeta jet of order
+m gives Z_j, ..., Z_m together. On the critical line
 
     Z^(k)(t) = i^k chi(1/2 + it)^(-1/2) Z_k(1/2 + it)
 
@@ -27,142 +28,52 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .chiomega import chi_many, omega_jets, phase_theta
 from .errors import BranchError, ConvergenceError, DomainError
-from .zetacore import T_CAP, EvalConfig, zeta_deriv, zeta_jets
+from .zetacore import T_CAP, zeta_jets
 
 K_CAP = 8
 _LEAK_BOUND = 1e-8
 _POOL_MIN_POINTS = 512
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-Monomial = tuple[int, ...]
+
+def _f_values(s: np.ndarray, m: int) -> np.ndarray:
+    """f_0(s)..f_m(s), shape (P, m+1), by the Leibniz form of the recursion,
+
+        f_r = sum_{i<r} C(r-1, i) (-omega^(i)/2) f_{r-1-i},
+
+    which needs omega_jets(s, m-1) and no derivative of any f."""
+    f = np.ones((s.shape[0], m + 1), dtype=complex)
+    if m:
+        h = -0.5 * omega_jets(s, m - 1)
+        for r in range(1, m + 1):
+            f[:, r] = sum(
+                math.comb(r - 1, i) * h[:, i] * f[:, r - 1 - i] for i in range(r)
+            )
+    return f
 
 
-@dataclass(frozen=True)
-class FkJet:
-    """Values f_0(s)..f_k(s) of the omega-polynomial coefficients."""
-
-    s: complex
-    k: int
-    values: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
-class ZkValue:
-    s: complex
-    k: int
-    value: complex
-
-
-def _mono_mul_w0(mono: Monomial) -> Monomial:
-    if not mono:
-        return (1,)
-    return (mono[0] + 1,) + mono[1:]
-
-
-def _poly_derivative(poly: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in poly.items():
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            lst = list(mono)
-            lst[i] -= 1
-            if i + 1 < len(lst):
-                lst[i + 1] += 1
-            else:
-                lst.append(1)
-            key = tuple(lst)
-            out[key] = out.get(key, Fraction(0)) + c * e
-    return {m: c for m, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def fk_polynomials(k: int) -> tuple[dict[Monomial, Fraction], ...]:
-    """Monomial dictionaries for f_0..f_k; key (e_0, e_1, ...) means
-    prod_i omega^(i) raised to e_i."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    polys: list[dict[Monomial, Fraction]] = [{(): Fraction(1)}]
-    for _ in range(k):
-        prev = polys[-1]
-        nxt = _poly_derivative(prev)
-        for mono, c in prev.items():
-            key = _mono_mul_w0(mono)
-            nxt[key] = nxt.get(key, Fraction(0)) - c / 2
-        polys.append({m: c for m, c in nxt.items() if c})
-    return tuple(polys)
-
-
-def _fk_values(omega: np.ndarray, k: int) -> np.ndarray:
-    """Evaluate f_0..f_k on omega jets of shape (P, >= k); returns (P, k+1)."""
-    p = omega.shape[0] if k > 0 else None
-    polys = fk_polynomials(k)
-    if k == 0:
-        return np.ones((1 if p is None else p, 1), dtype=complex)
-    out = np.empty((omega.shape[0], k + 1), dtype=complex)
-    powers: dict[tuple[int, int], np.ndarray] = {}
-
-    def var_power(i: int, e: int) -> np.ndarray:
-        key = (i, e)
-        if key not in powers:
-            if e == 1:
-                powers[key] = omega[:, i]
-            else:
-                powers[key] = var_power(i, e - 1) * omega[:, i]
-        return powers[key]
-
-    for r, poly in enumerate(polys):
-        acc = np.zeros(omega.shape[0], dtype=complex)
-        for mono, c in poly.items():
-            term = np.full(omega.shape[0], float(c), dtype=complex)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * var_power(i, e)
-            acc += term
-        out[:, r] = acc
+def _zk_columns(s: np.ndarray, j: int, m: int) -> np.ndarray:
+    """Z_j(s)..Z_m(s), shape (P, m-j+1), from one zeta_jets(s, m) pass."""
+    zj = zeta_jets(s, m)
+    f = _f_values(s, m)
+    out = np.empty((s.shape[0], m - j + 1), dtype=complex)
+    for k in range(j, m + 1):
+        out[:, k - j] = sum(
+            math.comb(k, mu) * f[:, k - mu] * zj[:, mu] for mu in range(k + 1)
+        )
     return out
 
 
-def fk_jet(s: complex, k: int) -> FkJet:
-    """f_0(s)..f_k(s) at a single point; k <= 8."""
-    if not (0 <= k <= K_CAP):
-        raise DomainError(f"k={k} outside 0..{K_CAP}")
-    if k == 0:
-        return FkJet(s=complex(s), k=0, values=(1.0 + 0.0j,))
-    om = omega_jets(np.array([s]), k - 1)
-    vals = _fk_values(om, k)[0]
-    return FkJet(s=complex(s), k=k, values=tuple(complex(v) for v in vals))
-
-
-def zk_many(s: np.ndarray, k: int, cfg: EvalConfig | None = None) -> np.ndarray:
+def zk_many(s: np.ndarray, k: int) -> np.ndarray:
     """Z_k(s) on a batch via the binomial form."""
     if not (0 <= k <= K_CAP):
         raise DomainError(f"k={k} outside 0..{K_CAP}")
-    s = np.asarray(s, dtype=complex).ravel()
-    zj = zeta_jets(s, k, cfg)
-    if k == 0:
-        return zj[:, 0].copy()
-    return _binomial_sum(zj, _fk_values(omega_jets(s, k - 1), k), k)
-
-
-def _binomial_sum(zj: np.ndarray, fvals: np.ndarray, k: int) -> np.ndarray:
-    """Z_k = sum_mu C(k, mu) f_{k-mu} zeta^(mu) from zeta jets and f values."""
-    out = np.zeros(zj.shape[0], dtype=complex)
-    for mu in range(k + 1):
-        out += math.comb(k, mu) * fvals[:, k - mu] * zj[:, mu]
-    return out
-
-
-def zk_value(s: complex, k: int, cfg: EvalConfig | None = None) -> ZkValue:
-    return ZkValue(s=complex(s), k=k, value=complex(zk_many(np.array([s]), k, cfg)[0]))
+    return _zk_columns(np.asarray(s, dtype=complex).ravel(), k, k)[:, 0]
 
 
 def _leak(w: np.ndarray) -> np.ndarray:
@@ -172,28 +83,21 @@ def _leak(w: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(w), np.abs(w.imag) / (1.0 + np.abs(w.real)), np.nan)
 
 
-def _z_core(
-    t: np.ndarray, j: int, cfg: EvalConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Z^(j)(t) plus the scaled imaginary-residue diagnostic; no lower
-    t-bound so the [0, 2] quadrature sliver can reuse it."""
+def _line_core(t: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z^(j)(t)..Z^(m)(t), shape (P, m-j+1), and each point's largest scaled
+    imaginary residue; no lower t-bound so the [0, 2] quadrature sliver can
+    reuse it."""
     s = 0.5 + 1j * t
-    w = _I_POW[j % 4] * np.exp(1j * phase_theta(t)) * zk_many(s, j, cfg)
-    return w.real, _leak(w)
-
-
-def _z_pair_core(
-    t: np.ndarray, k: int, cfg: EvalConfig | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z^(k)(t), Z^(k+1)(t) and the larger of their residues, from one
-    zeta jet of order k+1 and one omega jet of order k."""
-    s = 0.5 + 1j * t
-    zj = zeta_jets(s, k + 1, cfg)
-    fvals = _fk_values(omega_jets(s, k), k + 1)
     rot = np.exp(1j * phase_theta(t))
-    w0 = _I_POW[k % 4] * rot * _binomial_sum(zj, fvals, k)
-    w1 = _I_POW[(k + 1) % 4] * rot * _binomial_sum(zj, fvals, k + 1)
-    return w0.real, w1.real, np.maximum(_leak(w0), _leak(w1))
+    i_pow = np.array([_I_POW[k % 4] for k in range(j, m + 1)])
+    w = i_pow[None, :] * rot[:, None] * _zk_columns(s, j, m)
+    return w.real, _leak(w).max(axis=1)
+
+
+def _z_core(t: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z^(j)(t) plus the scaled imaginary-residue diagnostic."""
+    vals, leak = _line_core(t, j, j)
+    return vals[:, 0], leak
 
 
 def map_chunks(fn, t: np.ndarray, workers: int) -> tuple[np.ndarray, ...]:
@@ -235,13 +139,7 @@ def _check_leak(leak: np.ndarray) -> float:
     return max_leak
 
 
-def z_deriv_many(
-    t: np.ndarray,
-    j: int,
-    cfg: EvalConfig | None = None,
-    workers: int = 1,
-    return_diag: bool = False,
-):
+def z_deriv_many(t: np.ndarray, j: int, workers: int = 1, return_diag: bool = False):
     """Z^(j) on a batch of critical-line heights with the branch check.
 
     Results are bitwise independent of the worker count: every point's value
@@ -249,19 +147,14 @@ def z_deriv_many(
     non-finite value, raises BranchError.
     """
     t = _line_points(t, j)
-    vals, leak = map_chunks(lambda c: _z_core(c, j, cfg), t, workers)
+    vals, leak = map_chunks(lambda c: _z_core(c, j), t, workers)
     max_leak = _check_leak(leak)
     if return_diag:
         return vals, max_leak
     return vals
 
 
-def z_pair_many(
-    t: np.ndarray,
-    k: int,
-    cfg: EvalConfig | None = None,
-    workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+def z_pair_many(t: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(Z^(k), Z^(k+1)) on a batch of critical-line heights, 0 <= k <= 8,
     from one zeta_jets(s, k+1) / omega_jets(s, k) / phase_theta pass.
 
@@ -270,22 +163,22 @@ def z_pair_many(
     4 up, the precision path. The branch check covers both orders.
     """
     t = _line_points(t, k)
-    vals, dvals, leak = map_chunks(lambda c: _z_pair_core(c, k, cfg), t, workers)
+    vals, leak = map_chunks(lambda c: _line_core(c, k, k + 1), t, workers)
     _check_leak(leak)
-    return vals, dvals
+    return vals[:, 0], vals[:, 1]
 
 
-def z_deriv(t: float, j: int, cfg: EvalConfig | None = None) -> float:
+def z_deriv(t: float, j: int) -> float:
     """j-th derivative of Hardy's Z at height t (2 <= t <= 5e4, j <= 8)."""
-    return float(z_deriv_many(np.array([float(t)]), j, cfg)[0])
+    return float(z_deriv_many(np.array([float(t)]), j)[0])
 
 
-def fe_residual(s: complex, k: int, cfg: EvalConfig | None = None) -> float:
+def fe_residual(s: complex, k: int) -> float:
     """Scaled defect of Z_k(s) = (-1)^k chi(s) Z_k(1-s)."""
     if not (0 <= k <= K_CAP):
         raise DomainError(f"k={k} outside 0..{K_CAP}")
-    lhs = zk_many(np.array([s]), k, cfg)[0]
-    rhs = (-1.0) ** k * chi_many(np.array([s]))[0] * zk_many(np.array([1.0 - s]), k, cfg)[0]
+    lhs = zk_many(np.array([s]), k)[0]
+    rhs = (-1.0) ** k * chi_many(np.array([s]))[0] * zk_many(np.array([1.0 - s]), k)[0]
     return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
@@ -296,12 +189,12 @@ def window_log(T: float) -> float:
     return math.log(T / (2.0 * math.pi))
 
 
-def script_zk(s: complex, k: int, T: float, cfg: EvalConfig | None = None) -> complex:
+def script_zk(s: complex, k: int, T: float) -> complex:
     """Windowed sum_mu C(k,mu) (L/2)^(k-mu) zeta^(mu)(s)."""
     if not (0 <= k <= K_CAP):
         raise DomainError(f"k={k} outside 0..{K_CAP}")
     half_l = 0.5 * window_log(T)
-    jets = zeta_jets(np.array([s]), k, cfg)[0]
+    jets = zeta_jets(np.array([s]), k)[0]
     return complex(
         sum(math.comb(k, mu) * half_l ** (k - mu) * jets[mu] for mu in range(k + 1))
     )
@@ -311,7 +204,6 @@ def script_zk_root(
     k: int,
     T: float,
     seed: complex,
-    cfg: EvalConfig | None = None,
     max_iter: int = 40,
     tol: float = 1e-12,
 ) -> complex:
@@ -325,7 +217,7 @@ def script_zk_root(
     half_l = 0.5 * window_log(T)
     z = complex(seed)
     for _ in range(max_iter):
-        jets = zeta_jets(np.array([z]), k + 1, cfg)[0]
+        jets = zeta_jets(np.array([z]), k + 1)[0]
         val = sum(math.comb(k, mu) * half_l ** (k - mu) * jets[mu] for mu in range(k + 1))
         dval = sum(
             math.comb(k, mu) * half_l ** (k - mu) * jets[mu + 1] for mu in range(k + 1)

@@ -47,7 +47,7 @@ from .hardyz import (
     z_deriv_many,
     z_pair_many,
 )
-from .zetacore import T_CAP, EvalConfig, stieltjes
+from .zetacore import T_CAP, stieltjes
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -130,7 +130,7 @@ def _final_bracket(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _refine(k, lo, hi, flo, fhi, workers, cfg) -> tuple[np.ndarray, np.ndarray]:
+def _refine(k, lo, hi, flo, fhi, workers) -> tuple[np.ndarray, np.ndarray]:
     """Zeros and bracket widths for the sign-change brackets [lo, hi] of
     Z^(k), whose scan values are flo and fhi.
 
@@ -156,7 +156,7 @@ def _refine(k, lo, hi, flo, fhi, workers, cfg) -> tuple[np.ndarray, np.ndarray]:
     stopped = active[:0]
     while active.size:
         xa = x[active]
-        f, fp = z_pair_many(xa, k, cfg, workers=workers)
+        f, fp = z_pair_many(xa, k, workers=workers)
         same = np.sign(f) == sgn[active]
         lo[active] = np.where(same | (f == 0.0), xa, lo[active])
         hi[active] = np.where(same, hi[active], xa)
@@ -182,7 +182,7 @@ def _refine(k, lo, hi, flo, fhi, workers, cfg) -> tuple[np.ndarray, np.ndarray]:
         if active.size == 0 and stopped.size:
             pts, stopped = stopped, stopped[:0]
             a, b = _final_bracket(x[pts])
-            v = z_deriv_many(np.concatenate([a, b]), k, cfg, workers=workers)
+            v = z_deriv_many(np.concatenate([a, b]), k, workers=workers)
             va, vb = v[: pts.size], v[pts.size :]
             ok = (va * vb < 0.0) | (va == 0.0) | (vb == 0.0)
             zeros[pts[ok]] = 0.5 * (a[ok] + b[ok])
@@ -199,7 +199,6 @@ def find_zeros(
     t_hi: float,
     density: int = 6,
     workers: int = 1,
-    cfg: EvalConfig | None = None,
 ) -> ZeroList:
     """Zeros of Z^(k) on [t_lo, t_hi]: a sign scan at `density` points per
     expected gap, then safeguarded Newton inside each sign-change bracket.
@@ -221,12 +220,12 @@ def find_zeros(
         t += 2.0 * math.pi / (_local_gap_log(t) * density)
         grid.append(min(t, t_hi))
     pts = np.array(grid)
-    vals = z_deriv_many(pts, k, cfg, workers=workers)
+    vals = z_deriv_many(pts, k, workers=workers)
 
     exact_hits = [float(pts[i]) for i in np.nonzero(vals == 0.0)[0]]
     flip = np.nonzero((vals[:-1] * vals[1:]) < 0.0)[0]
     zeros, widths = _refine(
-        k, pts[flip], pts[flip + 1], vals[flip], vals[flip + 1], workers, cfg
+        k, pts[flip], pts[flip + 1], vals[flip], vals[flip + 1], workers
     )
 
     found = list(zip(zeros, widths))
@@ -252,17 +251,13 @@ def count_bound(T: float) -> float:
 
 
 def find_zeros_certified(
-    k: int,
-    T: float,
-    density: int = 6,
-    workers: int = 1,
-    cfg: EvalConfig | None = None,
+    k: int, T: float, density: int = 6, workers: int = 1
 ) -> tuple[ZeroList, float]:
     """Zeros of Z^(k) on (2, T] with the census guard, doubling the scan
     density up to three times before declaring the list incomplete."""
     d = density
     for _ in range(_MAX_DOUBLINGS + 1):
-        zl = find_zeros(k, 2.0, T, d, workers, cfg)
+        zl = find_zeros(k, 2.0, T, d, workers)
         dev = count_check(zl, T)
         if abs(dev) <= count_bound(T):
             return zl, dev
@@ -273,18 +268,13 @@ def find_zeros_certified(
     )
 
 
-def discrete_moment(
-    j: int,
-    zl: ZeroList,
-    workers: int = 1,
-    cfg: EvalConfig | None = None,
-) -> float:
+def discrete_moment(j: int, zl: ZeroList, workers: int = 1) -> float:
     """sum over gamma in zl of Z^(j)(gamma)^2, compensated, ascending."""
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
     if not zl.zeros:
         return 0.0
-    vals = z_deriv_many(np.array(zl.zeros), j, cfg, workers=workers)
+    vals = z_deriv_many(np.array(zl.zeros), j, workers=workers)
     return _neumaier(v * v for v in vals)
 
 
@@ -294,21 +284,20 @@ def _panel_integrals(
     j: int,
     rule,
     workers: int,
-    cfg: EvalConfig | None,
 ) -> np.ndarray:
     nodes, weights = rule
     half = 0.5 * (edges_hi - edges_lo)
     mids = 0.5 * (edges_hi + edges_lo)
     pts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    vals, _ = _z_core_batch(pts, j, workers, cfg)
+    vals, _ = _z_core_batch(pts, j, workers)
     sq = (vals * vals).reshape(len(edges_lo), len(nodes))
     # fixed-length axis reduction keeps panel values independent of the
     # panel count and worker split
     return half * np.sum(sq * weights[None, :], axis=1)
 
 
-def _z_core_batch(pts, j, workers, cfg):
-    return map_chunks(lambda c: _z_core(c, j, cfg), pts, workers)
+def _z_core_batch(pts, j, workers):
+    return map_chunks(lambda c: _z_core(c, j), pts, workers)
 
 
 def continuous_moment(
@@ -316,7 +305,6 @@ def continuous_moment(
     T: float,
     workers: int = 1,
     tol: float = 1e-9,
-    cfg: EvalConfig | None = None,
 ) -> float:
     """Integral of Z^(j)(t)^2 over [0, T].
 
@@ -332,7 +320,7 @@ def continuous_moment(
     nodes, weights = _GL64
     half = 0.5 * sliver_hi
     pts = half + half * nodes
-    vals, _ = _z_core(pts, j, cfg)
+    vals, _ = _z_core(pts, j)
     total_parts = [float(half * np.dot(vals * vals, weights))]
     if T <= 2.0:
         return total_parts[0]
@@ -347,8 +335,8 @@ def continuous_moment(
 
     kept: list[tuple[float, float]] = []  # (panel_lo, value) for final merge
     for _ in range(_MAX_REFINE_ROUNDS):
-        coarse = _panel_integrals(lo, hi, j, _GL8, workers, cfg)
-        fine = _panel_integrals(lo, hi, j, _GL16, workers, cfg)
+        coarse = _panel_integrals(lo, hi, j, _GL8, workers)
+        fine = _panel_integrals(lo, hi, j, _GL16, workers)
         err = np.abs(fine - coarse)
         ok = err <= tol * (1.0 + np.abs(fine)) / max(len(lo), 1)
         kept.extend(zip(lo[ok], fine[ok]))
@@ -429,15 +417,14 @@ def moment_report(
     T: float,
     density: int = 6,
     workers: int = 1,
-    cfg: EvalConfig | None = None,
 ) -> MomentReport:
     """Measured discrete moment against the five-term finite-T prediction."""
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
-    zl, dev = find_zeros_certified(k, T, density, workers, cfg)
+    zl, dev = find_zeros_certified(k, T, density, workers)
     if zl.zeros:
         vals, leak = z_deriv_many(
-            np.array(zl.zeros), j, cfg, workers=workers, return_diag=True
+            np.array(zl.zeros), j, workers=workers, return_diag=True
         )
         measured = _neumaier(v * v for v in vals)
     else:

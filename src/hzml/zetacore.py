@@ -11,9 +11,11 @@ simultaneously:
 Every piece is expanded in h around s: the Dirichlet terms contribute
 n^-s (-log n)^a / a!, the tail is an exponential jet times a geometric jet in
 1/(s-1), and the correction polynomials are built by multiplying linear jets.
-The truncation point N grows linearly with |t| so the first omitted
-correction term stays far below the 1e-12 absolute target everywhere in the
-strip up to the height cap.
+Both q = 12 and the truncation rule are constants of the module: N is the
+least multiple of 16 at or above max(30, |t| (0.5 + 0.05 mu_max)), so it
+grows linearly with |t| (at most 55,008, at the height cap with mu_max = 12)
+and the first omitted correction term stays far below the 1e-12 absolute
+target everywhere in the strip.
 
 That target bounds the truncation remainder only, not roundoff. Requests
 with mu <= 3 run in double precision, and near sigma = -1 at small t the
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -49,30 +50,11 @@ SIGMA_MAX = 2.0
 T_CAP = 5.0e4
 MU_CAP = 12
 POLE_RADIUS = 1e-6
+# Number q of Euler-Maclaurin correction terms (B_2 .. B_2q).
+_BERNOULLI_TERMS = 12
 
 # Dirichlet rows are processed in chunks of at most this many complex entries.
 _CHUNK_ENTRIES = 4_000_000
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Knobs for the Euler-Maclaurin engine.
-
-    bernoulli_order is the number q of correction terms (using B_2 .. B_2q);
-    max_em_terms caps the Dirichlet truncation length N.
-    """
-
-    max_em_terms: int = 200_000
-    bernoulli_order: int = 12
-
-    def __post_init__(self) -> None:
-        if self.max_em_terms < 30:
-            raise ValueError("max_em_terms must allow at least 30 terms")
-        if self.bernoulli_order < 4 or self.bernoulli_order % 2:
-            raise ValueError("bernoulli_order must be even and >= 4")
-
-
-_DEFAULT_CONFIG = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -110,16 +92,11 @@ def _validate_points(s: np.ndarray) -> None:
         raise PoleProximityError("evaluation point within 1e-6 of s = 1")
 
 
-def _n_terms(t_abs: float, mu_max: int, cfg: EvalConfig) -> int:
+def _n_terms(t_abs: float, mu_max: int) -> int:
     # Linear-in-|t| truncation; the mu-dependent bump keeps the differentiated
     # remainder (which gains (log N)^mu) inside the error budget.
     n = max(30, math.ceil(t_abs * (0.5 + 0.05 * mu_max)))
-    n = 16 * ((n + 15) // 16)
-    if n > cfg.max_em_terms:
-        raise DomainError(
-            f"required {n} Euler-Maclaurin terms exceeds max_em_terms={cfg.max_em_terms}"
-        )
-    return n
+    return 16 * ((n + 15) // 16)
 
 
 # pi to longdouble precision (the decimal literal carries 30 digits).
@@ -138,7 +115,7 @@ def _phase_matrix(t: np.ndarray, logn_ld: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, q: int) -> np.ndarray:
+def _em_group(sg: np.ndarray, n_terms: int, mu_max: int) -> np.ndarray:
     """Jet coefficients (P, mu_max+1) for a batch sharing one truncation N.
 
     Derivative orders >= 4 amplify coefficient roundoff by mu! against
@@ -198,7 +175,7 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, q: int) -> np.ndarray:
     if m1 > 1:
         rising[:, 1] = 1.0
     scale = fdtype(1.0) / n_terms
-    for r in range(1, q + 1):
+    for r in range(1, _BERNOULLI_TERMS + 1):
         if r > 1:
             rising = jet_mul_linear(rising, sgl + (2 * r - 3))
             rising = jet_mul_linear(rising, sgl + (2 * r - 2))
@@ -208,35 +185,31 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, q: int) -> np.ndarray:
     return derivatives_from_jet(coeffs).astype(np.complex128)
 
 
-def zeta_jets(
-    s: np.ndarray, mu_max: int, cfg: EvalConfig | None = None
-) -> np.ndarray:
+def zeta_jets(s: np.ndarray, mu_max: int) -> np.ndarray:
     """zeta^(mu)(s_p) for mu = 0..mu_max, shape (len(s), mu_max+1).
 
     Each point's value depends only on the point itself (truncation lengths
     are a pure function of |t|), so any partition of the batch reproduces
     identical bits.
     """
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
     if not (0 <= mu_max <= MU_CAP):
         raise DomainError(f"mu_max={mu_max} outside 0..{MU_CAP}")
     s = np.ascontiguousarray(np.asarray(s, dtype=complex).ravel())
     _validate_points(s)
 
     out = np.empty((s.shape[0], mu_max + 1), dtype=complex)
-    lengths = np.array([_n_terms(ta, mu_max, cfg) for ta in np.abs(s.imag)])
+    lengths = np.array([_n_terms(ta, mu_max) for ta in np.abs(s.imag)])
     for n_terms in np.unique(lengths):
         mask = lengths == n_terms
-        out[mask] = _em_group(s[mask], int(n_terms), mu_max, cfg.bernoulli_order)
+        out[mask] = _em_group(s[mask], int(n_terms), mu_max)
     return out
 
 
-def zeta_deriv(s: complex, mu: int = 0, cfg: EvalConfig | None = None) -> complex:
+def zeta_deriv(s: complex, mu: int = 0) -> complex:
     """mu-th derivative of zeta at a single strip point."""
     if not (0 <= mu <= MU_CAP):
         raise DomainError(f"mu={mu} outside 0..{MU_CAP}")
-    return complex(zeta_jets(np.array([s]), mu, cfg)[0, mu])
+    return complex(zeta_jets(np.array([s]), mu)[0, mu])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +276,6 @@ def stieltjes_laurent_fit(
     n_max: int = 10,
     radius: float = 0.9,
     samples: int = 128,
-    cfg: EvalConfig | None = None,
 ) -> list[float]:
     """c_0..c_{n_max} from a least-squares (DFT) fit of the regular part
     zeta(s) - 1/(s-1) on a ring around s = 1, sampled with the
@@ -311,7 +283,7 @@ def stieltjes_laurent_fit(
     only meaningful through n ~ 10."""
     phi = 2.0 * math.pi * np.arange(samples) / samples
     ring = 1.0 + radius * np.exp(1j * phi)
-    g = zeta_jets(ring, 0, cfg)[:, 0] - 1.0 / (ring - 1.0)
+    g = zeta_jets(ring, 0)[:, 0] - 1.0 / (ring - 1.0)
     out = []
     for n in range(n_max + 1):
         a_n = np.sum(g * np.exp(-1j * n * phi)) / (samples * radius ** n)

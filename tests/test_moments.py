@@ -31,7 +31,7 @@ from hzml.moments import (
     interlacing_report,
     moment_report,
 )
-from hzml.zetacore import EvalConfig, stieltjes
+from hzml.zetacore import stieltjes
 
 GAMMA_1 = 14.134725141734693
 GAMMA_2 = 21.022039638771555
@@ -141,8 +141,8 @@ def test_find_zeros_failed_check_bisects(monkeypatch):
 
     real = mo.z_pair_many
 
-    def shifted(t, k, cfg=None, workers=1):
-        vals, dvals = real(t, k, cfg, workers)
+    def shifted(t, k, workers=1):
+        vals, dvals = real(t, k, workers)
         return vals + 1e-7, dvals
 
     monkeypatch.setattr(mo, "z_pair_many", shifted)
@@ -153,11 +153,15 @@ def test_find_zeros_failed_check_bisects(monkeypatch):
     assert max(zl.bracket_widths) <= 1e-9
 
 
-def test_find_zeros_non_finite_raises():
-    # q = 40 makes every Z value NaN here (mpmath has 3 zeros in the window);
-    # the scan must raise rather than return an empty list
-    with np.errstate(all="ignore"), pytest.raises(BranchError):
-        find_zeros(0, 45000.0, 45002.0, cfg=EvalConfig(bernoulli_order=40))
+def test_find_zeros_non_finite_raises(monkeypatch):
+    # NaN zeta jets make every Z value NaN here (mpmath has 3 zeros in the
+    # window); the scan must raise rather than return an empty list
+    import hzml.hardyz as hz
+
+    real_jets = hz.zeta_jets
+    monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_jets(s, m) * np.nan)
+    with pytest.raises(BranchError):
+        find_zeros(0, 45000.0, 45002.0)
 
 
 def test_find_zeros_empty_window():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hzml.errors import AccuracyError, DomainError, PoleProximityError
 from hzml.zetacore import (
     ComplexPoint,
-    EvalConfig,
     stieltjes,
     stieltjes_table,
     zeta_deriv,
@@ -123,15 +122,6 @@ def test_complex_point_validation():
     assert p.s == 0.5 + 14.0j
 
 
-def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(bernoulli_order=7)
-    cfg = EvalConfig(bernoulli_order=8)
-    assert zeta_deriv(0.5 + 30.0j, 0, cfg) == pytest.approx(
-        zeta_deriv(0.5 + 30.0j, 0), abs=1e-12
-    )
-
-
 def test_stieltjes_against_mpmath():
     # independent high-precision reference for the limit-formula values
     for n in (0, 1, 2, 5, 10, 16, 17):
@@ -164,8 +154,8 @@ def test_accuracy_tripwire_fires(monkeypatch):
     # force the two independent methods apart to prove the cross-check bites
     real_fit = zc.stieltjes_laurent_fit
 
-    def skewed(n_max=10, radius=0.9, samples=128, cfg=None):
-        vals = list(real_fit(n_max, radius, samples, cfg))
+    def skewed(n_max=10, radius=0.9, samples=128):
+        vals = list(real_fit(n_max, radius, samples))
         vals[3] += 1e-6
         return vals
 
