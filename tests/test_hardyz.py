@@ -7,7 +7,8 @@ Oracle strategy:
     with Z_{k-1}' obtained by Cauchy-integral differentiation on a small
     circle, which never touches the binomial evaluation path.
   * The f_k of the binomial form are pinned by their closed forms through
-    f_3, written out by hand from f_k = f_{k-1}' - (omega/2) f_{k-1}.
+    f_3, written out by hand from f_k = f_{k-1}' - (omega/2) f_{k-1}: exactly
+    on small-integer omega jets, and to rounding on true ones.
   * Finite differences tie consecutive derivative orders together.
 """
 
@@ -37,8 +38,22 @@ from hzml.zetacore import zeta_deriv
 GAMMA_1 = 14.134725141734693  # first zero of Z, classical reference
 
 
-def test_f_values_low_orders_closed_form():
+def test_fk_polynomials_low_orders_exact(monkeypatch):
+    # small-integer omega jets keep every step of the recursion exact in
+    # binary floating point, so f_1..f_3 must equal the closed forms exactly
     # f_1 = -w/2, f_2 = w^2/4 - w'/2, f_3 = -w''/2 + 3 w w'/4 - w^3/8
+    import hzml.hardyz as hz
+
+    jets = np.array([[3.0, 5.0, 7.0], [-2.0, 11.0, 1.0], [1.0, -4.0, 9.0]])
+    monkeypatch.setattr(hz, "omega_jets", lambda s, m: jets[:, : m + 1].astype(complex))
+    f = _f_values(np.zeros(3, dtype=complex), 3)
+    for p, (w, w1, w2) in enumerate(jets):
+        closed = (1.0, -w / 2, w**2 / 4 - w1 / 2, -w2 / 2 + 3 * w * w1 / 4 - w**3 / 8)
+        assert list(f[p]) == list(closed), p
+
+
+def test_fk_jet_matches_polynomials():
+    # the same closed forms on true omega jets, to rounding
     for s in (0.5 + 40.0j, 0.3 + 7.0j, 1.5 - 250.0j):
         w, w1, w2 = omega_jets(np.array([s]), 2)[0]
         f = _f_values(np.array([s]), 3)[0]
