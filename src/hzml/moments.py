@@ -41,6 +41,7 @@ from .coeffs import breakdown
 from .errors import CompletenessAlarm, DomainError, QuadratureError
 from .hardyz import (
     K_CAP,
+    _check_leak,
     _z_core,
     map_chunks,
     window_log,
@@ -289,7 +290,8 @@ def _panel_integrals(
     half = 0.5 * (edges_hi - edges_lo)
     mids = 0.5 * (edges_hi + edges_lo)
     pts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    vals, _ = _z_core_batch(pts, j, workers)
+    vals, leak = _z_core_batch(pts, j, workers)
+    _check_leak(leak)
     sq = (vals * vals).reshape(len(edges_lo), len(nodes))
     # fixed-length axis reduction keeps panel values independent of the
     # panel count and worker split
@@ -309,7 +311,9 @@ def continuous_moment(
     """Integral of Z^(j)(t)^2 over [0, T].
 
     Composite Gauss-Legendre on [2, T] with per-panel 16-vs-8 error
-    estimates and bounded halving; one 64-point rule covers [0, 2].
+    estimates and bounded halving; one 64-point rule covers [0, 2]. Every
+    batch of Z values passes the branch check of z_deriv_many: a residue
+    above 1e-8, or any non-finite value, raises BranchError.
     """
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
@@ -320,7 +324,8 @@ def continuous_moment(
     nodes, weights = _GL64
     half = 0.5 * sliver_hi
     pts = half + half * nodes
-    vals, _ = _z_core(pts, j)
+    vals, leak = _z_core(pts, j)
+    _check_leak(leak)
     total_parts = [float(half * np.dot(vals * vals, weights))]
     if T <= 2.0:
         return total_parts[0]

@@ -17,8 +17,13 @@ grows linearly with |t| (at most 55,008, at the height cap with mu_max = 12)
 and the first omitted correction term stays far below the 1e-12 absolute
 target everywhere in the strip.
 
-That target bounds the truncation remainder only, not roundoff. Requests
-with mu <= 3 run in double precision, and near sigma = -1 at small t the
+That target bounds the truncation remainder only, not roundoff. The phases
+t log n mod 2 pi of the Dirichlet terms come from one table of log n / 2 pi
+for every n the strip can need, built once in longdouble and split into
+hi/lo doubles, so the reduction itself is exact double arithmetic and the
+phase error is a few 1e-14 radians at the height cap (see _phase_matrix).
+Requests with mu <= 3 then run in double precision; longdouble is used only
+for the sums and their cos/sin when mu >= 4. Near sigma = -1 at small t the
 Dirichlet terms n^-sigma (log n)^2 reach ~300 while zeta'' itself is ~0.1:
 measured against mpmath, zeta'' at -0.9453125 - 2i is off by 1.5e-12 (the
 longdouble path, mu >= 4, by 4e-16), and raising q to 20 changes no bit.
@@ -53,8 +58,11 @@ POLE_RADIUS = 1e-6
 # Number q of Euler-Maclaurin correction terms (B_2 .. B_2q).
 _BERNOULLI_TERMS = 12
 
-# Dirichlet rows are processed in chunks of at most this many complex entries.
-_CHUNK_ENTRIES = 4_000_000
+# Dirichlet rows are processed in chunks of at most this many (point, n)
+# entries, so that the chunk's real temporaries (512 KB each in double) stay
+# in a core's L2 cache: the phase, magnitude and cos/sin passes are memory
+# bound, and chunks of 4M entries made z_deriv_many ~1.4x slower per point.
+_CHUNK_ENTRIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -99,29 +107,85 @@ def _n_terms(t_abs: float, mu_max: int) -> int:
     return 16 * ((n + 15) // 16)
 
 
-# pi to longdouble precision (the decimal literal carries 30 digits).
-_PI_LD = np.longdouble("3.14159265358979323846264338328")
+# 2 pi to longdouble precision (the decimal literal of pi carries 30 digits),
+# and as hi + lo doubles with hi a multiple of 2^-15 (18 bits), so that hi
+# times a multiple of 2^-36 below 1/2 in magnitude is exact.
+_TWO_PI_LD = np.longdouble(2) * np.longdouble("3.14159265358979323846264338328")
+_TWO_PI_HI = float(np.rint(_TWO_PI_LD * 2.0**15) / 2.0**15)
+_TWO_PI_LO = float(_TWO_PI_LD - _TWO_PI_HI)
 
 
-def _phase_matrix(t: np.ndarray, logn_ld: np.ndarray) -> np.ndarray:
-    """t_p * log(n) reduced mod 2 pi, carried in extended precision.
+@dataclass(frozen=True)
+class _LogTable:
+    """u_n = log(n) / 2 pi and log(n) for n = 1..N (index n - 1), where N is
+    the largest truncation the strip can ask for (|t| = T_CAP, mu = MU_CAP).
 
-    A double-precision log n already costs ~|t log n| * 1e-16 radians of
-    phase at t ~ 5e4, which is visible against a 1e-12 target; the x87
-    longdouble path keeps the reduced phase good to ~1e-14 radians."""
-    prod = np.multiply.outer(t.astype(np.longdouble), logn_ld)
-    two_pi = np.longdouble(2) * _PI_LD
-    prod -= two_pi * np.floor(prod / two_pi)
-    return prod
+    u_hi is u rounded to a multiple of 2^-29, so with u < 2 it carries at
+    most 30 significant bits; u_lo = u - u_hi; u is u rounded to double.
+    logn is kept in longdouble for the mu >= 4 sums."""
+
+    u_hi: np.ndarray
+    u_lo: np.ndarray
+    u: np.ndarray
+    logn: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _log_table() -> _LogTable:
+    n_max = _n_terms(T_CAP, MU_CAP)
+    logn = np.log(np.arange(1, n_max + 1, dtype=np.longdouble))
+    u = logn / _TWO_PI_LD
+    u_hi = np.rint(u * 2.0**29) / 2.0**29
+    rows = (u_hi.astype(float), (u - u_hi).astype(float), u.astype(float), logn)
+    for row in rows:
+        row.flags.writeable = False
+    return _LogTable(*rows)
+
+
+def _phase_matrix(t: np.ndarray, cols: slice, fdtype) -> np.ndarray:
+    """t_p * log(n) reduced mod 2 pi into [-pi, pi], shape (P, len(n)), for
+    the n of the log table's columns `cols`, returned in fdtype.
+
+    The reduction is exact in double arithmetic (Dekker's split): with
+    t_hi = rint(128 t)/128, at most 23 bits since |t| <= T_CAP < 2^16, the
+    product x = t_hi u_hi of at most 53 bits is exact, and so is x - rint(x),
+    a multiple of 2^-36. What is left, t_hi u_lo + t_lo u with t_lo = t - t_hi,
+    is below 0.01 turns and carries ~1e-18 turns of roundoff. Scaling by 2 pi
+    rounds once: x * 2pi_hi is exact, and for longdouble output the parts are
+    added in longdouble. (Scaling x + corr by a double 2 pi rounds twice and
+    adds an error proportional to x; at t ~ 2000 that made zeta on the line
+    2.5x less accurate.) The phase error is therefore set by the longdouble
+    table, |t| * 2 pi * ~1e-19 (a few 1e-14 radians at the height cap), not
+    by the size of t log n; a double product t log n would already lose
+    ~|t log n| * 1e-16 radians."""
+    tab = _log_table()
+    t_hi = np.rint(128.0 * t) / 128.0
+    t_lo = t - t_hi
+    x = np.multiply.outer(t_hi, tab.u_hi[cols])
+    x -= np.rint(x)
+    corr = np.multiply.outer(t_hi, tab.u_lo[cols])
+    corr += np.multiply.outer(t_lo, tab.u[cols])
+    if fdtype is np.longdouble:
+        x = x.astype(np.longdouble)
+        x += corr
+        x *= _TWO_PI_LD
+        return x
+    corr *= 2.0 * math.pi
+    corr += _TWO_PI_LO * x
+    x *= _TWO_PI_HI
+    x += corr
+    return x
 
 
 def _em_group(sg: np.ndarray, n_terms: int, mu_max: int) -> np.ndarray:
     """Jet coefficients (P, mu_max+1) for a batch sharing one truncation N.
 
-    Derivative orders >= 4 amplify coefficient roundoff by mu! against
-    values that no longer dominate the term magnitudes, so those requests
-    run the whole group in extended precision; the scan workhorses
-    (mu <= 3) stay in fast double arithmetic.
+    log n and the phases t log n mod 2 pi for n <= N are read from the one
+    cached log table (_phase_matrix), whatever the order. Derivative orders
+    >= 4 amplify coefficient roundoff by mu! against values that no longer
+    dominate the term magnitudes, so those requests carry the magnitudes,
+    cos/sin, weights and sums of the whole group in longdouble; the scan
+    workhorses (mu <= 3) stay in fast double arithmetic.
     """
     m1 = mu_max + 1
     p = sg.shape[0]
@@ -134,9 +198,8 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int) -> np.ndarray:
     sgl = sg.astype(cdtype)
 
     # Dirichlet block sum_{n<N} n^-s, differentiated termwise.
-    n = np.arange(1, n_terms, dtype=float)
-    logn_ld = np.log(n.astype(np.longdouble))
-    logn = logn_ld.astype(fdtype)
+    dirichlet = slice(0, n_terms - 1)
+    logn = _log_table().logn[dirichlet].astype(fdtype)
     weights = np.empty((m1, n_terms - 1), dtype=fdtype)
     weights[0] = 1.0
     for a in range(1, m1):
@@ -145,16 +208,15 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int) -> np.ndarray:
     for lo in range(0, p, rows_per_chunk):
         hi = min(lo + rows_per_chunk, p)
         mag = np.exp(-np.multiply.outer(sig[lo:hi], logn))
-        phase = _phase_matrix(sg[lo:hi].imag, logn_ld).astype(fdtype)
+        phase = _phase_matrix(sg[lo:hi].imag, dirichlet, fdtype)
         bre = mag * np.cos(phase)
         bim = -mag * np.sin(phase)
         for a in range(m1):
             coeffs[lo:hi, a].real = np.sum(bre * weights[a][None, :], axis=1)
             coeffs[lo:hi, a].imag = np.sum(bim * weights[a][None, :], axis=1)
 
-    logN_ld = np.log(np.longdouble(n_terms))
-    logN = fdtype(logN_ld)
-    phase_n = _phase_matrix(sg.imag, logN_ld[None])[:, 0].astype(fdtype)
+    logN = fdtype(_log_table().logn[n_terms - 1])
+    phase_n = _phase_matrix(sg.imag, slice(n_terms - 1, n_terms), fdtype)[:, 0]
     npow = np.exp(-sig * logN) * (np.cos(phase_n) - 1j * np.sin(phase_n)).astype(cdtype)
     a0 = jet_exp_of_scalar(npow, -logN, mu_max)
 

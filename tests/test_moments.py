@@ -249,6 +249,19 @@ def test_continuous_moment_worker_determinism():
     assert continuous_moment(1, 200.0, workers=4) == base
 
 
+@pytest.mark.parametrize("T", [1.5, 30.0])
+def test_continuous_moment_non_finite_raises(monkeypatch, T):
+    # NaN zeta jets: T = 1.5 reaches only the [0, 2] sliver, T = 30 the
+    # panels too; without the branch check the first returns nan and the
+    # second refines to its round cap and raises QuadratureError
+    import hzml.hardyz as hz
+
+    real_jets = hz.zeta_jets
+    monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_jets(s, m) * np.nan)
+    with pytest.raises(BranchError):
+        continuous_moment(0, T)
+
+
 def test_interlacing_between_orders():
     zl0 = find_zeros(0, 50.0, 200.0)
     zl1 = find_zeros(1, 50.0, 200.0)

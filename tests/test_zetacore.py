@@ -14,8 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hzml.errors import AccuracyError, DomainError, PoleProximityError
+from hzml.hardyz import z_deriv
 from hzml.zetacore import (
+    T_CAP,
     ComplexPoint,
+    _log_table,
+    _phase_matrix,
     stieltjes,
     stieltjes_table,
     zeta_deriv,
@@ -72,12 +76,55 @@ def test_high_t_accuracy():
             assert abs(mine[d] - refs[d]) <= 1e-11 * scale, (s, d)
 
 
+@pytest.mark.parametrize("j", [1, 4])
+def test_critical_line_accuracy_near_cap(j):
+    # Dirichlet terms decay only like n^-1/2 on the line; j = 4 runs the
+    # longdouble path, j = 1 the double one
+    t = 49999.5
+    with mp.workdps(30):
+        ref = float(mp.mp.rs_z(mp.mpf(t), j))
+    assert abs(z_deriv(t, j) - ref) <= 1e-11 * max(abs(ref), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_phase_reduction_matches_mpmath(dtype):
+    # the exact split needs t_hi = rint(128 t)/128 within 23 bits and
+    # u = log n / 2 pi below 2 (so u_hi has at most 30 bits)
+    tab = _log_table()
+    assert 128 * T_CAP < 2**23
+    assert tab.u.max() < 2.0
+    cols = slice(0, tab.u.size, 97)
+    n = np.arange(1, tab.u.size + 1)[cols].tolist() + [tab.u.size]
+    t = np.array([30000.123, 49999.9, -49999.9])
+    got = np.concatenate(
+        [_phase_matrix(t, cols, dtype), _phase_matrix(t, slice(-1, None), dtype)],
+        axis=1,
+    )
+    assert got.dtype == dtype
+    with mp.workdps(40):
+        logn = [mp.log(k) for k in n]
+        for p, tp in enumerate(t):
+            for q, lg in enumerate(logn):
+                x = got[p, q]
+                # a longdouble is exactly the sum of two doubles
+                gap = mp.mpf(float(x)) + float(x - dtype(float(x))) - tp * lg
+                gap -= 2 * mp.pi * mp.nint(gap / (2 * mp.pi))
+                assert abs(gap) <= 1e-13, (tp, n[q], float(gap))
+
+
 def test_batch_matches_scalar_bitwise():
     pts = np.array([0.3 + 21.0j, 1.5 + 300.0j, -0.5 + 9.0j])
     batch = zeta_jets(pts, 3)
     for i, s in enumerate(pts):
         single = zeta_jets(np.array([s]), 3)[0]
         assert np.array_equal(batch[i], single)
+    # mixed heights on the line: several truncation groups share the log
+    # table, on the double (mu = 1) and the longdouble (mu = 4) path
+    line = 0.5 + 1j * np.array([3.0, 900.0, 2.1e4, 4.7e4, -3.0e4, 900.25])
+    for mu in (1, 4):
+        batch = zeta_jets(line, mu)
+        for i, s in enumerate(line):
+            assert np.array_equal(batch[i], zeta_jets(np.array([s]), mu)[0]), (s, mu)
 
 
 @given(
