@@ -159,8 +159,9 @@ def z_pair_many(t: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np
     from one zeta_jets(s, k+1) / omega_jets(s, k) / phase_theta pass.
 
     The order-k values agree with z_deriv_many(t, k) to roundoff, not
-    bitwise: the jet order sets the Euler-Maclaurin length and, from order
-    4 up, the precision path. The branch check covers both orders.
+    bitwise: the jet order sets the Euler-Maclaurin length, and for k = 4
+    it also switches the zeta jets from the double to the longdouble path
+    (zetacore._longdouble_points). The branch check covers both orders.
     """
     t = _line_points(t, k)
     vals, leak = map_chunks(lambda c: _line_core(c, k, k + 1), t, workers)

@@ -57,6 +57,11 @@ _BRACKET_WIDTH = 1e-9
 _NEWTON_STEP = 0.25 * _BRACKET_WIDTH
 _MAX_DOUBLINGS = 3
 _MAX_REFINE_ROUNDS = 14
+# Bound on the panels one refinement round may evaluate: the first round at
+# T_CAP has 127,039 panels, so even a round that halves every one of them
+# fits, while a tol that no panel can meet stops here instead of doubling
+# the panel count (and the memory) 14 times.
+_MAX_PANELS = 1 << 18
 HALL_G_CAP = 20
 
 
@@ -313,12 +318,16 @@ def continuous_moment(
     Composite Gauss-Legendre on [2, T] with per-panel 16-vs-8 error
     estimates and bounded halving; one 64-point rule covers [0, 2]. Every
     batch of Z values passes the branch check of z_deriv_many: a residue
-    above 1e-8, or any non-finite value, raises BranchError.
+    above 1e-8, or any non-finite value, raises BranchError. tol must be
+    positive and finite; a round that would evaluate more than 2^18 panels,
+    or a 15th round, raises QuadratureError.
     """
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
     if not (0.0 < T <= T_CAP):
         raise DomainError(f"need 0 < T <= {T_CAP}")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"need 0 < tol < inf, got {tol}")
 
     sliver_hi = min(T, 2.0)
     nodes, weights = _GL64
@@ -340,6 +349,10 @@ def continuous_moment(
 
     kept: list[tuple[float, float]] = []  # (panel_lo, value) for final merge
     for _ in range(_MAX_REFINE_ROUNDS):
+        if len(lo) > _MAX_PANELS:
+            raise QuadratureError(
+                f"panel refinement needs {len(lo)} panels, above the bound {_MAX_PANELS}"
+            )
         coarse = _panel_integrals(lo, hi, j, _GL8, workers)
         fine = _panel_integrals(lo, hi, j, _GL16, workers)
         err = np.abs(fine - coarse)

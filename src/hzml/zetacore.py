@@ -22,11 +22,14 @@ t log n mod 2 pi of the Dirichlet terms come from one table of log n / 2 pi
 for every n the strip can need, built once in longdouble and split into
 hi/lo doubles, so the reduction itself is exact double arithmetic and the
 phase error is a few 1e-14 radians at the height cap (see _phase_matrix).
-Requests with mu <= 3 then run in double precision; longdouble is used only
-for the sums and their cos/sin when mu >= 4. Near sigma = -1 at small t the
-Dirichlet terms n^-sigma (log n)^2 reach ~300 while zeta'' itself is ~0.1:
-measured against mpmath, zeta'' at -0.9453125 - 2i is off by 1.5e-12 (the
-longdouble path, mu >= 4, by 4e-16), and raising q to 20 changes no bit.
+The magnitudes, cos/sin and sums then run in double precision, except where
+the jet order and the point call for longdouble (_longdouble_points): for
+mu_max >= 5 everywhere, and for mu_max = 4 left of the critical line. The
+rule is a function of the point, so batches are grouped by (path, N). Near
+sigma = -1 at small t the Dirichlet terms n^-sigma (log n)^2 reach ~300
+while zeta'' itself is ~0.1: measured against mpmath, zeta'' at
+-0.9453125 - 2i is off by 1.5e-12 (on the longdouble path by 4e-16), and
+raising q to 20 changes no bit.
 The bound the tests check is 1e-11 * max(max_d |zeta^(d)(s)|, 1)
 (tests/test_zetacore.py, test_jets_match_mpmath and test_conjugate_symmetry).
 
@@ -122,7 +125,7 @@ class _LogTable:
 
     u_hi is u rounded to a multiple of 2^-29, so with u < 2 it carries at
     most 30 significant bits; u_lo = u - u_hi; u is u rounded to double.
-    logn is kept in longdouble for the mu >= 4 sums."""
+    logn is kept in longdouble for the longdouble path."""
 
     u_hi: np.ndarray
     u_lo: np.ndarray
@@ -177,19 +180,32 @@ def _phase_matrix(t: np.ndarray, cols: slice, fdtype) -> np.ndarray:
     return x
 
 
-def _em_group(sg: np.ndarray, n_terms: int, mu_max: int) -> np.ndarray:
-    """Jet coefficients (P, mu_max+1) for a batch sharing one truncation N.
+def _longdouble_points(sigma: np.ndarray, mu_max: int) -> np.ndarray:
+    """The precision path of each point: True where the sums must run in
+    longdouble, that is for mu_max >= 5, and for mu_max = 4 left of the
+    critical line (sigma < 1/2).
+
+    The order-a sums weight the terms n^-s by (log n)^a / a!, so their
+    roundoff grows with the order, and left of the line the terms n^-sigma
+    also grow with n. Double against longdouble, scaled as in the tests,
+    differs by at most 6e-12 at mu = 4 on the line (2000 points with t in
+    [2e4, 5e4]), but by 4e-11 at mu = 5 there, and at mu = 4 by 1.4e-11
+    near sigma = -1: both beyond the 1e-11 contract."""
+    return (mu_max >= 5) | ((mu_max >= 4) & (sigma < 0.5))
+
+
+def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool) -> np.ndarray:
+    """Jet coefficients (P, mu_max+1) for a batch sharing one truncation N
+    and one precision path.
 
     log n and the phases t log n mod 2 pi for n <= N are read from the one
-    cached log table (_phase_matrix), whatever the order. Derivative orders
-    >= 4 amplify coefficient roundoff by mu! against values that no longer
-    dominate the term magnitudes, so those requests carry the magnitudes,
-    cos/sin, weights and sums of the whole group in longdouble; the scan
-    workhorses (mu <= 3) stay in fast double arithmetic.
+    cached log table (_phase_matrix), whatever the path. With use_ld (chosen
+    per point by _longdouble_points) the magnitudes, cos/sin, weights and
+    sums of the whole group are carried in longdouble; otherwise everything
+    runs in double.
     """
     m1 = mu_max + 1
     p = sg.shape[0]
-    use_ld = mu_max >= 4
     cdtype = np.clongdouble if use_ld else np.complex128
     fdtype = np.longdouble if use_ld else np.float64
     half = fdtype(0.5)
@@ -250,9 +266,9 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int) -> np.ndarray:
 def zeta_jets(s: np.ndarray, mu_max: int) -> np.ndarray:
     """zeta^(mu)(s_p) for mu = 0..mu_max, shape (len(s), mu_max+1).
 
-    Each point's value depends only on the point itself (truncation lengths
-    are a pure function of |t|), so any partition of the batch reproduces
-    identical bits.
+    Each point's value depends only on the point itself (the truncation
+    length is a pure function of |t| and the precision path of sigma), so
+    any partition of the batch reproduces identical bits.
     """
     if not (0 <= mu_max <= MU_CAP):
         raise DomainError(f"mu_max={mu_max} outside 0..{MU_CAP}")
@@ -261,9 +277,10 @@ def zeta_jets(s: np.ndarray, mu_max: int) -> np.ndarray:
 
     out = np.empty((s.shape[0], mu_max + 1), dtype=complex)
     lengths = np.array([_n_terms(ta, mu_max) for ta in np.abs(s.imag)])
-    for n_terms in np.unique(lengths):
-        mask = lengths == n_terms
-        out[mask] = _em_group(s[mask], int(n_terms), mu_max)
+    use_ld = _longdouble_points(s.real, mu_max)
+    for n_terms, ld in sorted(set(zip(lengths.tolist(), use_ld.tolist()))):
+        mask = (lengths == n_terms) & (use_ld == ld)
+        out[mask] = _em_group(s[mask], n_terms, mu_max, ld)
     return out
 
 

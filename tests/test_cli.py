@@ -113,6 +113,13 @@ def test_cmoment_payload(capsys):
     assert payload["ratio"] == payload["value"] / payload["hall"]
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_cmoment_rejects_bad_tol(capsys, tol):
+    code, out, err = run_cli(capsys, "cmoment", "--j", "0", "--t-max", "3", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tol" in err
+
+
 def test_moment_and_verify_agree(capsys):
     args = ["--j", "0", "--k", "1", "--t-max", "300"]
     code_m, out_m, _ = run_cli(capsys, "moment", *args)

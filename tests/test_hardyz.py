@@ -178,10 +178,11 @@ def test_non_finite_values_raise(monkeypatch):
         z_pair_many(t, 0)
 
 
-@pytest.mark.parametrize("k", [0, 3, 8])
+@pytest.mark.parametrize("k", [0, 3, 4, 8])
 def test_z_pair_matches_single_orders(k):
-    # order 4 runs the zeta jets in longdouble, so k = 3 pairs a double
-    # path (z_deriv_many) with a longdouble one
+    # on the line the zeta jets run in double up to order 4 and in
+    # longdouble from order 5, so k = 4 pairs a double path (z_deriv_many)
+    # with a longdouble one
     rng = np.random.default_rng(k)
     t = np.concatenate([rng.uniform(10.0, 500.0, 30), rng.uniform(500.0, 3.0e4, 10)])
     vals, dvals = z_pair_many(t, k)

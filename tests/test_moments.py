@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzml.errors import BranchError, DomainError
+from hzml.errors import BranchError, DomainError, QuadratureError
 from hzml.hardyz import z_deriv_many
 from hzml.moments import (
     ZeroList,
@@ -260,6 +260,34 @@ def test_continuous_moment_non_finite_raises(monkeypatch, T):
     monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_jets(s, m) * np.nan)
     with pytest.raises(BranchError):
         continuous_moment(0, T)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_continuous_moment_rejects_bad_tol(tol):
+    # tol = -1 used to run 14 rounds to 16,384 panels at T = 3 before it
+    # raised QuadratureError
+    with pytest.raises(DomainError):
+        continuous_moment(0, 3.0, tol=tol)
+
+
+def test_continuous_moment_panel_bound(monkeypatch):
+    # a tol that no panel meets halves every panel each round (9, 18, 36,
+    # 72, ... at T = 30); with the bound lowered to 64 the round of 72 must
+    # not start
+    import hzml.moments as mo
+
+    seen = []
+    real = mo._panel_integrals
+
+    def spy(lo, hi, j, rule, workers):
+        seen.append(len(lo))
+        return real(lo, hi, j, rule, workers)
+
+    monkeypatch.setattr(mo, "_MAX_PANELS", 64)
+    monkeypatch.setattr(mo, "_panel_integrals", spy)
+    with pytest.raises(QuadratureError):
+        continuous_moment(0, 30.0, tol=1e-300)
+    assert seen[0] == 9 and max(seen) <= 64
 
 
 def test_interlacing_between_orders():

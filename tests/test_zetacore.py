@@ -14,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hzml.errors import AccuracyError, DomainError, PoleProximityError
-from hzml.hardyz import z_deriv
+from hzml.hardyz import z_deriv, z_deriv_many, z_pair_many
 from hzml.zetacore import (
     T_CAP,
     ComplexPoint,
     _log_table,
+    _longdouble_points,
     _phase_matrix,
     stieltjes,
     stieltjes_table,
@@ -55,7 +56,7 @@ def test_zeta_half_reference():
         0.4 + 250.3j,
     ],
 )
-@pytest.mark.parametrize("mu", [0, 3, 8])
+@pytest.mark.parametrize("mu", [0, 3, 4, 5, 8])
 def test_jets_match_mpmath(s, mu):
     mine = zeta_jets(np.array([s]), mu)[0]
     with mp.workdps(40):
@@ -78,12 +79,30 @@ def test_high_t_accuracy():
 
 @pytest.mark.parametrize("j", [1, 4])
 def test_critical_line_accuracy_near_cap(j):
-    # Dirichlet terms decay only like n^-1/2 on the line; j = 4 runs the
-    # longdouble path, j = 1 the double one
+    # Dirichlet terms decay only like n^-1/2 on the line. z_deriv runs both
+    # orders on the double path; z_pair_many(., 4) needs zeta jets of order
+    # 5, which run in longdouble
     t = 49999.5
     with mp.workdps(30):
         ref = float(mp.mp.rs_z(mp.mpf(t), j))
     assert abs(z_deriv(t, j) - ref) <= 1e-11 * max(abs(ref), 1.0)
+    paired = z_pair_many(np.array([t]), j)[0][0]
+    assert abs(paired - ref) <= 1e-11 * max(abs(ref), 1.0)
+
+
+def test_line_double_path_matches_longdouble():
+    # Z^(4) on the line takes the double path; z_pair_many(., 4) computes
+    # the same order from longdouble jets of order 5. Log-spaced heights
+    # cover small t, the uniform ones the top of the range, where the
+    # double roundoff is largest (6e-12 scaled at worst over 2000 points)
+    t = np.concatenate(
+        [np.geomspace(2.0, T_CAP, 200), np.random.default_rng(4).uniform(2.0e4, T_CAP, 60)]
+    )
+    assert not _longdouble_points(np.array([0.5]), 4).any()
+    assert _longdouble_points(np.array([0.5]), 5).all()
+    dbl = z_deriv_many(t, 4)
+    ld = z_pair_many(t, 4)[0]
+    assert np.all(np.abs(dbl - ld) <= 1e-11 * (1.0 + np.abs(ld)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -119,11 +138,19 @@ def test_batch_matches_scalar_bitwise():
         single = zeta_jets(np.array([s]), 3)[0]
         assert np.array_equal(batch[i], single)
     # mixed heights on the line: several truncation groups share the log
-    # table, on the double (mu = 1) and the longdouble (mu = 4) path
+    # table, on the double (mu = 1, 4) and the longdouble (mu = 6) path
     line = 0.5 + 1j * np.array([3.0, 900.0, 2.1e4, 4.7e4, -3.0e4, 900.25])
-    for mu in (1, 4):
+    for mu in (1, 4, 6):
         batch = zeta_jets(line, mu)
         for i, s in enumerate(line):
+            assert np.array_equal(batch[i], zeta_jets(np.array([s]), mu)[0]), (s, mu)
+    # mixed sigma: at mu = 4 the precision path depends on sigma, so one
+    # batch holds both paths at each height; mu = 5 and 6 are longdouble
+    heights = np.array([5.0, 700.0, 700.5, -2.4e4])
+    mixed = (np.array([0.5, 0.3, 1.5, -0.5])[:, None] + 1j * heights[None, :]).ravel()
+    for mu in (4, 5, 6):
+        batch = zeta_jets(mixed, mu)
+        for i, s in enumerate(mixed):
             assert np.array_equal(batch[i], zeta_jets(np.array([s]), mu)[0]), (s, mu)
 
 
