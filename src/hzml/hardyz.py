@@ -9,7 +9,15 @@ where f_0 = 1 and f_k = f_{k-1}' - (1/2) omega f_{k-1} are polynomials in
 omega and its derivatives (f_1 = -omega/2, f_2 = -omega'/2 + omega^2/4, ...).
 They are evaluated pointwise from one omega jet by the derivative recursion
 f_r = sum_{i<r} C(r-1, i) (-omega^(i)/2) f_{r-1-i}, and one zeta jet of order
-m gives Z_j, ..., Z_m together. On the critical line
+m gives Z_j, ..., Z_m together. The same sum holds with zeta^(mu) replaced
+by the derivatives of exp(kappa h) zeta(s + h) and f by those of
+exp(-kappa h) f(h), which the recursion gives with omega/2 + kappa for
+omega/2. From order 4 up the zeta jets come centred that way
+(zetacore.zeta_jets_centred): on the line kappa is close to theta', so f_r
+stays O(1) and the sum no longer cancels terms of size (log t)^k down to
+Z^(k). With plain jets that cancellation cost up to 4e-12 absolute at the
+zeros of Z^(4) near t = 4e4 even from longdouble sums rounded to double.
+On the critical line
 
     Z^(k)(t) = i^k chi(1/2 + it)^(-1/2) Z_k(1/2 + it)
 
@@ -33,7 +41,7 @@ import numpy as np
 
 from .chiomega import chi_many, omega_jets, phase_theta
 from .errors import BranchError, ConvergenceError, DomainError
-from .zetacore import T_CAP, zeta_jets
+from .zetacore import T_CAP, zeta_jets, zeta_jets_centred
 
 K_CAP = 8
 _LEAK_BOUND = 1e-8
@@ -41,15 +49,19 @@ _POOL_MIN_POINTS = 512
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-def _f_values(s: np.ndarray, m: int) -> np.ndarray:
+def _f_values(s: np.ndarray, m: int, kappa=0.0) -> np.ndarray:
     """f_0(s)..f_m(s), shape (P, m+1), by the Leibniz form of the recursion,
 
         f_r = sum_{i<r} C(r-1, i) (-omega^(i)/2) f_{r-1-i},
 
-    which needs omega_jets(s, m-1) and no derivative of any f."""
+    which needs omega_jets(s, m-1) and no derivative of any f. With a shift
+    kappa (scalar or per point) omega/2 becomes omega/2 + kappa, which gives
+    the coefficients of exp(-kappa h) f(h): the f that pair with the
+    centred zeta jets."""
     f = np.ones((s.shape[0], m + 1), dtype=complex)
     if m:
         h = -0.5 * omega_jets(s, m - 1)
+        h[:, 0] -= kappa
         for r in range(1, m + 1):
             f[:, r] = sum(
                 math.comb(r - 1, i) * h[:, i] * f[:, r - 1 - i] for i in range(r)
@@ -58,9 +70,10 @@ def _f_values(s: np.ndarray, m: int) -> np.ndarray:
 
 
 def _zk_columns(s: np.ndarray, j: int, m: int) -> np.ndarray:
-    """Z_j(s)..Z_m(s), shape (P, m-j+1), from one zeta_jets(s, m) pass."""
-    zj = zeta_jets(s, m)
-    f = _f_values(s, m)
+    """Z_j(s)..Z_m(s), shape (P, m-j+1), from one zeta_jets_centred(s, m)
+    pass, paired with the f of the same shift."""
+    zj, kappa = zeta_jets_centred(s, m)
+    f = _f_values(s, m, kappa)
     out = np.empty((s.shape[0], m - j + 1), dtype=complex)
     for k in range(j, m + 1):
         out[:, k - j] = sum(
@@ -156,11 +169,12 @@ def z_deriv_many(t: np.ndarray, j: int, workers: int = 1, return_diag: bool = Fa
 
 def z_pair_many(t: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(Z^(k), Z^(k+1)) on a batch of critical-line heights, 0 <= k <= 8,
-    from one zeta_jets(s, k+1) / omega_jets(s, k) / phase_theta pass.
+    from one zeta_jets_centred(s, k+1) / omega_jets(s, k) / phase_theta pass.
 
     The order-k values agree with z_deriv_many(t, k) to roundoff, not
-    bitwise: the jet order sets the Euler-Maclaurin length, and for k = 4
-    it also switches the zeta jets from the double to the longdouble path
+    bitwise: the jet order sets the Euler-Maclaurin length and the centring
+    shift, for k = 3 it also starts the centring, and for k = 4 it switches
+    the zeta jets from the double to the longdouble path
     (zetacore._longdouble_points). The branch check covers both orders.
     """
     t = _line_points(t, k)

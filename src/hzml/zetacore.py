@@ -25,7 +25,16 @@ phase error is a few 1e-14 radians at the height cap (see _phase_matrix).
 The magnitudes, cos/sin and sums then run in double precision, except where
 the jet order and the point call for longdouble (_longdouble_points): for
 mu_max >= 5 everywhere, and for mu_max = 4 left of the critical line. The
-rule is a function of the point, so batches are grouped by (path, N). Near
+rule is a function of the point, so batches are grouped by (path, N).
+From order 4 up the sums are centred: they give the jets of
+exp(kappa h) zeta(s + h) with kappa = (log N)/2 (_centre), whose order-a
+weights (kappa - log n)^a / a! are up to 2^a smaller than (log n)^a / a!.
+hardyz builds Z^(k) from these directly (zeta_jets_centred); zeta_jets
+keeps kappa = 0, since shifting back would cost what centring saves.
+That is what lets Z^(4) on the line run in double: with
+plain weights it was off by up to 1.7e-11 at zeros of Z^(4) near t = 4e4,
+and the longdouble path, whose plain jets were rounded to double before
+the binomial sum, by up to 4e-12. Near
 sigma = -1 at small t the Dirichlet terms n^-sigma (log n)^2 reach ~300
 while zeta'' itself is ~0.1: measured against mpmath, zeta'' at
 -0.9453125 - 2i is off by 1.5e-12 (on the longdouble path by 4e-16), and
@@ -185,24 +194,43 @@ def _longdouble_points(sigma: np.ndarray, mu_max: int) -> np.ndarray:
     longdouble, that is for mu_max >= 5, and for mu_max = 4 left of the
     critical line (sigma < 1/2).
 
-    The order-a sums weight the terms n^-s by (log n)^a / a!, so their
-    roundoff grows with the order, and left of the line the terms n^-sigma
-    also grow with n. Double against longdouble, scaled as in the tests,
-    differs by at most 6e-12 at mu = 4 on the line (2000 points with t in
-    [2e4, 5e4]), but by 4e-11 at mu = 5 there, and at mu = 4 by 1.4e-11
-    near sigma = -1: both beyond the 1e-11 contract."""
+    The order-a sums weight the terms n^-s by (kappa - log n)^a / a!, so
+    their roundoff grows with the order, and left of the line the terms
+    n^-sigma also grow with n. With the centred weights (_centre), Z^(4)
+    on the line in double is within 5.6e-13 of longdouble, scaled
+    (1 + |Z|), at 160 of its own zeros in [2e4, 5e4] and within 1.1e-13 at
+    2000 uniform heights there; Z^(5) is within 4.1e-12 at its zeros, and
+    zeta^(4) at sigma in [-0.95, -0.5] within 1.3e-11 scaled by
+    max(max_d |zeta^(d)|, 1): both short of a tenfold margin under the
+    1e-11 contract."""
     return (mu_max >= 5) | ((mu_max >= 4) & (sigma < 0.5))
 
 
-def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool) -> np.ndarray:
-    """Jet coefficients (P, mu_max+1) for a batch sharing one truncation N
-    and one precision path.
+def _centre(n_terms: int, mu_max: int) -> float:
+    """The shift kappa of zeta_jets_centred for a group of truncation
+    length N: (log N)/2 from jet order 4 up, else 0.
+
+    The order-a Dirichlet weights are then (kappa - log n)^a / a!, at most
+    ((log N)/2)^a / a! over n < N instead of (log N)^a / a!. On the line
+    kappa exceeds theta'(t) = log(t / 2 pi)/2 by log(2 pi N / t)/2 < 0.9
+    for t > 50, so the jets of exp(kappa h) zeta(s + h) are what Z^(k) is
+    made of without the binomial cancellation of the plain ones. Orders up
+    to 3 keep kappa = 0 and so their exact bits."""
+    return 0.5 * math.log(n_terms) if mu_max >= 4 else 0.0
+
+
+def _em_group(
+    sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool, kappa: float
+) -> np.ndarray:
+    """Derivatives (P, mu_max+1) of exp(kappa h) zeta(s + h) at h = 0 for a
+    batch sharing one truncation N and one precision path.
 
     log n and the phases t log n mod 2 pi for n <= N are read from the one
     cached log table (_phase_matrix), whatever the path. With use_ld (chosen
     per point by _longdouble_points) the magnitudes, cos/sin, weights and
     sums of the whole group are carried in longdouble; otherwise everything
-    runs in double.
+    runs in double. The shift enters only the rates -(log n - kappa) of the
+    Dirichlet terms and of N^(-s-h), which every tail piece carries.
     """
     m1 = mu_max + 1
     p = sg.shape[0]
@@ -216,10 +244,11 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool) -> np.nda
     # Dirichlet block sum_{n<N} n^-s, differentiated termwise.
     dirichlet = slice(0, n_terms - 1)
     logn = _log_table().logn[dirichlet].astype(fdtype)
+    shift = fdtype(kappa)
     weights = np.empty((m1, n_terms - 1), dtype=fdtype)
     weights[0] = 1.0
     for a in range(1, m1):
-        weights[a] = weights[a - 1] * (-logn) / fdtype(a)
+        weights[a] = weights[a - 1] * (-(logn - shift)) / fdtype(a)
     rows_per_chunk = max(1, _CHUNK_ENTRIES // n_terms)
     for lo in range(0, p, rows_per_chunk):
         hi = min(lo + rows_per_chunk, p)
@@ -234,7 +263,7 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool) -> np.nda
     logN = fdtype(_log_table().logn[n_terms - 1])
     phase_n = _phase_matrix(sg.imag, slice(n_terms - 1, n_terms), fdtype)[:, 0]
     npow = np.exp(-sig * logN) * (np.cos(phase_n) - 1j * np.sin(phase_n)).astype(cdtype)
-    a0 = jet_exp_of_scalar(npow, -logN, mu_max)
+    a0 = jet_exp_of_scalar(npow, -(logN - shift), mu_max)
 
     # midpoint term N^-s / 2
     coeffs += half * a0
@@ -263,6 +292,24 @@ def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool) -> np.nda
     return derivatives_from_jet(coeffs).astype(np.complex128)
 
 
+def _jets(s: np.ndarray, mu_max: int, centred: bool) -> tuple[np.ndarray, np.ndarray]:
+    if not (0 <= mu_max <= MU_CAP):
+        raise DomainError(f"mu_max={mu_max} outside 0..{MU_CAP}")
+    s = np.ascontiguousarray(np.asarray(s, dtype=complex).ravel())
+    _validate_points(s)
+
+    out = np.empty((s.shape[0], mu_max + 1), dtype=complex)
+    kappa = np.zeros(s.shape[0])
+    lengths = np.array([_n_terms(ta, mu_max) for ta in np.abs(s.imag)])
+    use_ld = _longdouble_points(s.real, mu_max)
+    for n_terms, ld in sorted(set(zip(lengths.tolist(), use_ld.tolist()))):
+        mask = (lengths == n_terms) & (use_ld == ld)
+        shift = _centre(n_terms, mu_max) if centred else 0.0
+        kappa[mask] = shift
+        out[mask] = _em_group(s[mask], n_terms, mu_max, ld, shift)
+    return out, kappa
+
+
 def zeta_jets(s: np.ndarray, mu_max: int) -> np.ndarray:
     """zeta^(mu)(s_p) for mu = 0..mu_max, shape (len(s), mu_max+1).
 
@@ -270,18 +317,18 @@ def zeta_jets(s: np.ndarray, mu_max: int) -> np.ndarray:
     length is a pure function of |t| and the precision path of sigma), so
     any partition of the batch reproduces identical bits.
     """
-    if not (0 <= mu_max <= MU_CAP):
-        raise DomainError(f"mu_max={mu_max} outside 0..{MU_CAP}")
-    s = np.ascontiguousarray(np.asarray(s, dtype=complex).ravel())
-    _validate_points(s)
+    return _jets(s, mu_max, centred=False)[0]
 
-    out = np.empty((s.shape[0], mu_max + 1), dtype=complex)
-    lengths = np.array([_n_terms(ta, mu_max) for ta in np.abs(s.imag)])
-    use_ld = _longdouble_points(s.real, mu_max)
-    for n_terms, ld in sorted(set(zip(lengths.tolist(), use_ld.tolist()))):
-        mask = (lengths == n_terms) & (use_ld == ld)
-        out[mask] = _em_group(s[mask], n_terms, mu_max, ld)
-    return out
+
+def zeta_jets_centred(s: np.ndarray, mu_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of exp(kappa_p h) zeta(s_p + h) at h = 0 for orders
+    0..mu_max, shape (len(s), mu_max+1), and the shifts kappa_p (_centre).
+
+    kappa = 0 up to order 3, where these are zeta_jets(s, mu_max) bit for
+    bit. The shift is a pure function of the truncation length and the
+    order, so each point's values still depend only on the point.
+    """
+    return _jets(s, mu_max, centred=True)
 
 
 def zeta_deriv(s: complex, mu: int = 0) -> complex:

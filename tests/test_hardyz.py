@@ -33,7 +33,8 @@ from hzml.hardyz import (
     z_pair_many,
     zk_many,
 )
-from hzml.zetacore import zeta_deriv
+from hzml.moments import find_zeros
+from hzml.zetacore import T_CAP, zeta_deriv
 
 GAMMA_1 = 14.134725141734693  # first zero of Z, classical reference
 
@@ -169,8 +170,10 @@ def test_non_finite_values_raise(monkeypatch):
     # the guard must be written the other way round
     import hzml.hardyz as hz
 
-    real_jets = hz.zeta_jets
-    monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_jets(s, m) * np.nan)
+    real_jets = hz.zeta_jets_centred
+    monkeypatch.setattr(
+        hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_jets(s, m))
+    )
     t = np.array([3.0e4, 4.5e4])
     with pytest.raises(BranchError):
         z_deriv_many(t, 0, return_diag=True)
@@ -182,9 +185,23 @@ def test_non_finite_values_raise(monkeypatch):
 def test_z_pair_matches_single_orders(k):
     # on the line the zeta jets run in double up to order 4 and in
     # longdouble from order 5, so k = 4 pairs a double path (z_deriv_many)
-    # with a longdouble one
+    # with a longdouble one; from order 4 up they are centred (k = 3 pairs
+    # plain jets with centred ones). At the zeros of Z^(4) the two orders
+    # differ by up to 5e-12, on either path: the log table's rounding of the
+    # n that only the longer truncation sums (test_line_double_path_margin
+    # compares the paths at one truncation)
     rng = np.random.default_rng(k)
-    t = np.concatenate([rng.uniform(10.0, 500.0, 30), rng.uniform(500.0, 3.0e4, 10)])
+    t = np.concatenate(
+        [
+            rng.uniform(10.0, 500.0, 30),
+            rng.uniform(500.0, 3.0e4, 10),
+            rng.uniform(2.0e4, T_CAP, 10),
+        ]
+    )
+    if k == 4:
+        zeros = [z for a in (2.4e4, 4.6e4) for z in find_zeros(4, a, a + 1.5).zeros]
+        assert len(zeros) >= 3
+        t = np.concatenate([t, zeros])
     vals, dvals = z_pair_many(t, k)
     ref = z_deriv_many(t, k)
     assert np.all(np.abs(vals - ref) <= 1e-11 * (1.0 + np.abs(ref)))

@@ -158,8 +158,10 @@ def test_find_zeros_non_finite_raises(monkeypatch):
     # window); the scan must raise rather than return an empty list
     import hzml.hardyz as hz
 
-    real_jets = hz.zeta_jets
-    monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_jets(s, m) * np.nan)
+    real_jets = hz.zeta_jets_centred
+    monkeypatch.setattr(
+        hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_jets(s, m))
+    )
     with pytest.raises(BranchError):
         find_zeros(0, 45000.0, 45002.0)
 
@@ -256,8 +258,10 @@ def test_continuous_moment_non_finite_raises(monkeypatch, T):
     # second refines to its round cap and raises QuadratureError
     import hzml.hardyz as hz
 
-    real_jets = hz.zeta_jets
-    monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_jets(s, m) * np.nan)
+    real_jets = hz.zeta_jets_centred
+    monkeypatch.setattr(
+        hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_jets(s, m))
+    )
     with pytest.raises(BranchError):
         continuous_moment(0, T)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hzml.errors import AccuracyError, DomainError, PoleProximityError
 from hzml.hardyz import z_deriv, z_deriv_many, z_pair_many
+from hzml.moments import find_zeros
 from hzml.zetacore import (
     T_CAP,
     ComplexPoint,
@@ -25,6 +26,7 @@ from hzml.zetacore import (
     stieltjes_table,
     zeta_deriv,
     zeta_jets,
+    zeta_jets_centred,
 )
 
 
@@ -90,19 +92,47 @@ def test_critical_line_accuracy_near_cap(j):
     assert abs(paired - ref) <= 1e-11 * max(abs(ref), 1.0)
 
 
-def test_line_double_path_matches_longdouble():
-    # Z^(4) on the line takes the double path; z_pair_many(., 4) computes
-    # the same order from longdouble jets of order 5. Log-spaced heights
-    # cover small t, the uniform ones the top of the range, where the
-    # double roundoff is largest (6e-12 scaled at worst over 2000 points)
-    t = np.concatenate(
-        [np.geomspace(2.0, T_CAP, 200), np.random.default_rng(4).uniform(2.0e4, T_CAP, 60)]
-    )
-    assert not _longdouble_points(np.array([0.5]), 4).any()
-    assert _longdouble_points(np.array([0.5]), 5).all()
+def test_line_double_path_margin(monkeypatch):
+    # Z^(4) on the line runs in double (centred jets) only because it stays
+    # within a tenth of the 1e-11 contract of the longdouble path at the
+    # same truncation: at the zeros of Z^(4), where the scale 1 + |Z| gives
+    # no cover, and near the height cap, where the sums are longest
+    import hzml.zetacore as zc
+
+    zeros = [z for a in (2.4e4, 4.6e4) for z in find_zeros(4, a, a + 1.5).zeros]
+    assert len(zeros) >= 3
+    t = np.concatenate([zeros, np.random.default_rng(4).uniform(2.0e4, T_CAP, 20)])
     dbl = z_deriv_many(t, 4)
-    ld = z_pair_many(t, 4)[0]
-    assert np.all(np.abs(dbl - ld) <= 1e-11 * (1.0 + np.abs(ld)))
+    monkeypatch.setattr(
+        zc, "_longdouble_points", lambda sigma, mu: np.ones(np.shape(sigma), bool)
+    )
+    ld = z_deriv_many(t, 4)
+    assert np.all(np.abs(dbl - ld) <= 1e-12 * (1.0 + np.abs(ld)))
+
+
+def test_centred_jets_are_shifted_zeta_jets():
+    # zeta_jets_centred gives the derivatives of exp(kappa h) zeta(s + h):
+    # sum_i C(d, i) kappa^(d-i) zeta^(i)(s); kappa = 0 (and the same bits as
+    # zeta_jets) up to order 3
+    s = np.array([0.5 + 3000.0j, 1.3 - 700.0j, 0.2 + 40.0j])
+    for mu in (3, 4, 5):
+        jets, kappa = zeta_jets_centred(s, mu)
+        assert (kappa == 0).all() == (mu <= 3)
+        if mu <= 3:
+            assert np.array_equal(jets, zeta_jets(s, mu))
+            continue
+        for p, sp in enumerate(s):
+            with mp.workdps(30):
+                z = [mp.zeta(mp.mpc(sp), derivative=d) for d in range(mu + 1)]
+                ref = [
+                    complex(
+                        sum(mp.binomial(d, i) * kappa[p] ** (d - i) * z[i] for i in range(d + 1))
+                    )
+                    for d in range(mu + 1)
+                ]
+            scale = max(max(abs(r) for r in ref), 1.0)
+            for d in range(mu + 1):
+                assert abs(jets[p, d] - ref[d]) <= 1e-11 * scale, (sp, mu, d)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -145,13 +175,20 @@ def test_batch_matches_scalar_bitwise():
         for i, s in enumerate(line):
             assert np.array_equal(batch[i], zeta_jets(np.array([s]), mu)[0]), (s, mu)
     # mixed sigma: at mu = 4 the precision path depends on sigma, so one
-    # batch holds both paths at each height; mu = 5 and 6 are longdouble
+    # batch holds both paths at each height; mu = 5 and 6 are longdouble.
+    # The centred jets carry a shift per truncation group as well
+    assert not _longdouble_points(np.array([0.5, 1.5]), 4).any()
+    assert _longdouble_points(np.array([0.5, 0.3, -0.5]), 5).all()
     heights = np.array([5.0, 700.0, 700.5, -2.4e4])
     mixed = (np.array([0.5, 0.3, 1.5, -0.5])[:, None] + 1j * heights[None, :]).ravel()
     for mu in (4, 5, 6):
         batch = zeta_jets(mixed, mu)
+        centred, kappa = zeta_jets_centred(mixed, mu)
         for i, s in enumerate(mixed):
             assert np.array_equal(batch[i], zeta_jets(np.array([s]), mu)[0]), (s, mu)
+            single, single_kappa = zeta_jets_centred(np.array([s]), mu)
+            assert np.array_equal(centred[i], single[0]), (s, mu)
+            assert kappa[i] == single_kappa[0], (s, mu)
 
 
 @given(
