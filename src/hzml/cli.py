@@ -22,10 +22,12 @@ import sys
 from .coeffs import breakdown, identity_sweep
 from .errors import DomainError, NumericalAlarm, PoleProximityError
 from .moments import (
-    continuous_moment,
+    _check_quadrature_args,
+    continuous_moment,  # noqa: F401  perfbench/tracer.py wraps cli.continuous_moment
     find_zeros,
     hall_prediction,
     moment_report,
+    quadrature_report,
 )
 from .thetaroots import trunc_exp_roots
 
@@ -137,16 +139,21 @@ def _cmd_moment(args) -> dict:
 
 
 def _cmd_cmoment(args) -> dict:
-    value = continuous_moment(args.j, args.t_max, args.workers, args.tol)
+    # both sides validate their arguments before the integral runs
+    _check_quadrature_args(args.j, args.t_max, args.tol)
     hall = hall_prediction(args.j, args.t_max)
+    q = quadrature_report(args.j, args.t_max, args.workers, args.tol)
     return {
         "schema": "1",
         "command": "cmoment",
         "j": args.j,
         "T": args.t_max,
-        "value": value,
+        "value": q.value,
         "hall": hall,
-        "ratio": value / hall if hall != 0.0 else math.inf,
+        "ratio": q.value / hall if hall != 0.0 else math.inf,
+        "error_estimate": q.error_estimate,
+        "panels": q.panels,
+        "evaluations": q.evaluations,
     }
 
 
@@ -255,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="continuous moment of Z^(j) squared")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="relative budget on the summed panel error estimates")
 
     p = sub.add_parser("coeff", parents=[common],
                        help="five-term coefficient breakdown")

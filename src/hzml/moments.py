@@ -13,10 +13,14 @@ bracket of width 1e-9 around it (see _refine). A census against
 guards against missed zeros (bound 10 + 2 log T), auto-doubling the
 density up to three times before raising an alarm.
 
-The continuous moment integrates Z^(j)(t)^2 with composite Gauss-Legendre
-panels no wider than half the local gap, a 16-vs-8-point error estimate
-per panel driving bounded refinement, plus one fixed 64-point rule on the
-awkward [0, 2] sliver. The prediction side is Hall's
+The continuous moment integrates Z^(j)(t)^2 over [2, T] with a 15-point
+Gauss-Kronrod rule on panels no wider than half the local gap, plus one
+fixed 64-point Gauss-Legendre rule on the awkward [0, 2] sliver. The
+7-point Gauss rule embedded in the Kronrod nodes gives each panel an error
+estimate |K15 - G7| from the same Z values, and one budget covers the
+whole integral: the sum of the estimates must be at most tol times the
+total, and only panels above their share of that budget are halved. The
+prediction side is Hall's
 
     (1/(4^j(2j+1))) T P_{2j+1}(log(T/2pi)),
     P_{2j+1}(x) = W_{2j+1}(x) + (4j+2) sum_n C(2j,n)(-2)^n c_n W_{2j-n}(x),
@@ -50,8 +54,42 @@ from .hardyz import (
 )
 from .zetacore import T_CAP, stieltjes
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL8 = np.polynomial.legendre.leggauss(8)
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15): the abscissae x_1..x_7 >= 0
+# of the Kronrod rule with their weights, and the weights of the 7-point
+# Gauss rule, whose nodes are x_1, x_3, x_5, x_7 = 0
+_XK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+# (nodes, Kronrod weights, Gauss weights) in ascending node order; the Gauss
+# nodes are nodes[1::2]
+_GK15 = (
+    np.array([-x for x in _XK[:-1]] + list(reversed(_XK))),
+    np.array(_WK[:-1] + tuple(reversed(_WK))),
+    np.array(_WG[:-1] + tuple(reversed(_WG))),
+)
 _GL64 = np.polynomial.legendre.leggauss(64)
 _BRACKET_WIDTH = 1e-9
 _NEWTON_STEP = 0.25 * _BRACKET_WIDTH
@@ -199,6 +237,15 @@ def _refine(k, lo, hi, flo, fhi, workers) -> tuple[np.ndarray, np.ndarray]:
     return zeros, widths
 
 
+def _check_scan_args(k: int, t_lo: float, t_hi: float, density: int) -> None:
+    if not (0 <= k <= K_CAP):
+        raise DomainError(f"k={k} outside 0..{K_CAP}")
+    if not (2.0 <= t_lo < t_hi <= T_CAP):
+        raise DomainError(f"need 2 <= t_lo < t_hi <= {T_CAP}")
+    if density < 4:
+        raise DomainError("density must be >= 4")
+
+
 def find_zeros(
     k: int,
     t_lo: float,
@@ -213,12 +260,7 @@ def find_zeros(
     which z_deriv_many(., k) changes sign (width 0 where a scan point is an
     exact zero). The scan misses pairs of zeros closer than its step.
     """
-    if not (0 <= k <= K_CAP):
-        raise DomainError(f"k={k} outside 0..{K_CAP}")
-    if not (2.0 <= t_lo < t_hi <= T_CAP):
-        raise DomainError(f"need 2 <= t_lo < t_hi <= {T_CAP}")
-    if density < 4:
-        raise DomainError("density must be >= 4")
+    _check_scan_args(k, t_lo, t_hi, density)
 
     grid = [t_lo]
     t = t_lo
@@ -290,21 +332,125 @@ def _panel_integrals(
     j: int,
     rule,
     workers: int,
-) -> np.ndarray:
-    nodes, weights = rule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod value and error estimate |K - G| of Z^(j)^2 on each panel,
+    for a rule (nodes, Kronrod weights, Gauss weights) whose Gauss nodes
+    are nodes[1::2]."""
+    nodes, wk, wg = rule
     half = 0.5 * (edges_hi - edges_lo)
     mids = 0.5 * (edges_hi + edges_lo)
     pts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
     vals, leak = _z_core_batch(pts, j, workers)
     _check_leak(leak)
     sq = (vals * vals).reshape(len(edges_lo), len(nodes))
-    # fixed-length axis reduction keeps panel values independent of the
+    # fixed-length axis reductions keep panel values independent of the
     # panel count and worker split
-    return half * np.sum(sq * weights[None, :], axis=1)
+    kronrod = half * np.sum(sq * wk[None, :], axis=1)
+    gauss = half * np.sum(sq[:, 1::2] * wg[None, :], axis=1)
+    return kronrod, np.abs(kronrod - gauss)
 
 
 def _z_core_batch(pts, j, workers):
     return map_chunks(lambda c: _z_core(c, j), pts, workers)
+
+
+@dataclass(frozen=True)
+class QuadratureReport:
+    """How continuous_moment computed its value.
+
+    error_estimate is the sum of |K15 - G7| over the panels on [2, T] (the
+    [0, 2] sliver has no estimate); panels is the final panel count,
+    rounds the number of Kronrod passes over new panels, and evaluations
+    the number of Z values, the sliver's 64 included."""
+
+    value: float
+    error_estimate: float
+    tol: float
+    panels: int
+    rounds: int
+    evaluations: int
+
+
+def _panel_grid(T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the first-round panels on [2, T], each at most half the
+    local zero gap wide."""
+    edges = [2.0]
+    t = 2.0
+    while t < T:
+        t += math.pi / _local_gap_log(t)
+        edges.append(min(t, T))
+    return np.array(edges[:-1]), np.array(edges[1:])
+
+
+def _check_quadrature_args(j: int, T: float, tol: float) -> None:
+    if not (0 <= j <= K_CAP):
+        raise DomainError(f"j={j} outside 0..{K_CAP}")
+    if not (0.0 < T <= T_CAP):
+        raise DomainError(f"need 0 < T <= {T_CAP}")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"need 0 < tol < inf, got {tol}")
+
+
+def quadrature_report(
+    j: int,
+    T: float,
+    workers: int = 1,
+    tol: float = 1e-9,
+) -> QuadratureReport:
+    """Integral of Z^(j)(t)^2 over [0, T], with its error estimate and
+    evaluation counts.
+
+    Gauss-Kronrod 7/15 on panels of [2, T] no wider than half the local
+    zero gap; one 64-point Gauss-Legendre rule covers [0, 2]. The result
+    is accepted once the summed panel estimates sum |K15 - G7| are at most
+    tol * |total|; until then every panel whose estimate exceeds its share
+    tol * |total| / n_panels is halved, and only the new halves are
+    evaluated. Every batch of Z values passes the branch check of
+    z_deriv_many: a residue above 1e-8, or any non-finite value, raises
+    BranchError. tol must be positive and finite; a round that would
+    evaluate more than 2^18 panels, or a 15th round, raises
+    QuadratureError.
+    """
+    _check_quadrature_args(j, T, tol)
+
+    sliver_hi = min(T, 2.0)
+    nodes, weights = _GL64
+    half = 0.5 * sliver_hi
+    vals, leak = _z_core(half + half * nodes, j)
+    _check_leak(leak)
+    sliver = float(half * np.dot(vals * vals, weights))
+    evaluations = len(nodes)
+    if T <= 2.0:
+        return QuadratureReport(sliver, 0.0, tol, 0, 0, evaluations)
+
+    new_lo, new_hi = _panel_grid(T)
+    lo = hi = value = err = np.empty(0)
+    for rounds in range(1, _MAX_REFINE_ROUNDS + 1):
+        if len(new_lo) > _MAX_PANELS:
+            raise QuadratureError(
+                f"panel refinement needs {len(new_lo)} panels, above the bound {_MAX_PANELS}"
+            )
+        new_value, new_err = _panel_integrals(new_lo, new_hi, j, _GK15, workers)
+        evaluations += new_value.size * len(_GK15[0])
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        value = np.concatenate([value, new_value])
+        err = np.concatenate([err, new_err])
+        # fsum rounds the exact sum once, so neither the panel order nor
+        # the worker count can change a bit
+        total = math.fsum([sliver, *value])
+        estimate = math.fsum(err)
+        budget = tol * abs(total)
+        if not (estimate <= budget):
+            split = ~(err <= budget / len(lo))
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo = np.concatenate([lo[split], mid])
+            new_hi = np.concatenate([mid, hi[split]])
+            lo, hi, value, err = lo[~split], hi[~split], value[~split], err[~split]
+            continue
+        return QuadratureReport(total, estimate, tol, len(lo), rounds, evaluations)
+    raise QuadratureError(
+        f"panel refinement stalled with {len(new_lo)} panels outstanding"
+    )
 
 
 def continuous_moment(
@@ -313,65 +459,10 @@ def continuous_moment(
     workers: int = 1,
     tol: float = 1e-9,
 ) -> float:
-    """Integral of Z^(j)(t)^2 over [0, T].
-
-    Composite Gauss-Legendre on [2, T] with per-panel 16-vs-8 error
-    estimates and bounded halving; one 64-point rule covers [0, 2]. Every
-    batch of Z values passes the branch check of z_deriv_many: a residue
-    above 1e-8, or any non-finite value, raises BranchError. tol must be
-    positive and finite; a round that would evaluate more than 2^18 panels,
-    or a 15th round, raises QuadratureError.
-    """
-    if not (0 <= j <= K_CAP):
-        raise DomainError(f"j={j} outside 0..{K_CAP}")
-    if not (0.0 < T <= T_CAP):
-        raise DomainError(f"need 0 < T <= {T_CAP}")
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"need 0 < tol < inf, got {tol}")
-
-    sliver_hi = min(T, 2.0)
-    nodes, weights = _GL64
-    half = 0.5 * sliver_hi
-    pts = half + half * nodes
-    vals, leak = _z_core(pts, j)
-    _check_leak(leak)
-    total_parts = [float(half * np.dot(vals * vals, weights))]
-    if T <= 2.0:
-        return total_parts[0]
-
-    edges = [2.0]
-    t = 2.0
-    while t < T:
-        t += math.pi / _local_gap_log(t)
-        edges.append(min(t, T))
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
-
-    kept: list[tuple[float, float]] = []  # (panel_lo, value) for final merge
-    for _ in range(_MAX_REFINE_ROUNDS):
-        if len(lo) > _MAX_PANELS:
-            raise QuadratureError(
-                f"panel refinement needs {len(lo)} panels, above the bound {_MAX_PANELS}"
-            )
-        coarse = _panel_integrals(lo, hi, j, _GL8, workers)
-        fine = _panel_integrals(lo, hi, j, _GL16, workers)
-        err = np.abs(fine - coarse)
-        ok = err <= tol * (1.0 + np.abs(fine)) / max(len(lo), 1)
-        kept.extend(zip(lo[ok], fine[ok]))
-        if np.all(ok):
-            break
-        lo_bad = lo[~ok]
-        hi_bad = hi[~ok]
-        mid = 0.5 * (lo_bad + hi_bad)
-        lo = np.concatenate([lo_bad, mid])
-        hi = np.concatenate([mid, hi_bad])
-    else:
-        raise QuadratureError(
-            f"panel refinement stalled with {len(lo)} panels outstanding"
-        )
-    kept.sort()
-    total_parts.extend(v for _, v in kept)
-    return _neumaier(total_parts)
+    """Integral of Z^(j)(t)^2 over [0, T]: the value of
+    quadrature_report(j, T, workers, tol), which documents the rule, the
+    error budget and the errors raised."""
+    return quadrature_report(j, T, workers, tol).value
 
 
 def hall_W(g: int, v: float) -> float:
@@ -439,6 +530,10 @@ def moment_report(
     """Measured discrete moment against the five-term finite-T prediction."""
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
+    # the prediction's domain (T >= 100) is narrower than the census's:
+    # check both before the census runs
+    _check_scan_args(k, 2.0, T, density)
+    predicted = breakdown(j, k, T, "finite").total
     zl, dev = find_zeros_certified(k, T, density, workers)
     if zl.zeros:
         vals, leak = z_deriv_many(
@@ -447,7 +542,6 @@ def moment_report(
         measured = _neumaier(v * v for v in vals)
     else:
         measured, leak = 0.0, 0.0
-    predicted = breakdown(j, k, T, "finite").total
     return MomentReport(
         j=j,
         k=k,

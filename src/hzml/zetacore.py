@@ -42,11 +42,8 @@ raising q to 20 changes no bit.
 The bound the tests check is 1e-11 * max(max_d |zeta^(d)(s)|, 1)
 (tests/test_zetacore.py, test_jets_match_mpmath and test_conjugate_symmetry).
 
-Stieltjes constants come from the classical limit formula
-c_n = lim_m [ sum_{l<=m} log(l)^n/l - log(m)^(n+1)/(n+1) ], accelerated with
-Euler-Maclaurin corrections and evaluated in extended precision; an
-independent Laurent-coefficient fit on a ring around s = 1 cross-checks the
-low orders against the double-precision engine.
+The Stieltjes constants c_0..c_17 are literals: mpmath's values rounded
+to double.
 """
 
 from __future__ import annotations
@@ -55,11 +52,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
-from .bernoulli import bernoulli_fraction, bernoulli_float
-from .errors import AccuracyError, DomainError, PoleProximityError
+from .bernoulli import bernoulli_float
+from .errors import DomainError, PoleProximityError
 from .jets import derivatives_from_jet, jet_exp_of_scalar, jet_mul, jet_mul_linear
 
 SIGMA_MIN = -1.0
@@ -344,99 +340,47 @@ def zeta_deriv(s: complex, mu: int = 0) -> complex:
 
 @dataclass(frozen=True)
 class StieltjesTable:
-    """Immutable table of c_0..c_{n_max} around the Laurent expansion
+    """Immutable table of c_0..c_17 around the Laurent expansion
     zeta(s) = 1/(s-1) + sum_n (-1)^n c_n (s-1)^n / n!."""
 
     values: tuple[float, ...]
-    method: str
-    cross_checked_through: int
 
     def __getitem__(self, n: int) -> float:
         return self.values[n]
 
 
-def _log_power_derivative_coeffs(n: int, d_max: int) -> list[dict[int, int]]:
-    """Integer coefficient dicts for f^(d)(x), f(x) = log(x)^n / x,
-    written as x^-(d+1) * sum_a coeff[a] * log(x)^a, for d = 0..d_max."""
-    seq = [{n: 1}]
-    for d in range(d_max):
-        cur = seq[-1]
-        nxt: dict[int, int] = {}
-        for a, c in cur.items():
-            if a > 0:
-                nxt[a - 1] = nxt.get(a - 1, 0) + a * c
-            nxt[a] = nxt.get(a, 0) - (d + 1) * c
-        seq.append(nxt)
-    return seq
-
-
-def stieltjes_limit_formula(n: int, m: int = 250, q: int = 18, dps: int = 50) -> float:
-    """c_n via the accelerated limit formula, evaluated in extended precision.
-
-    The bare limit loses ~(log m)^(n+1)/(n+1) digits to cancellation, which
-    is fatal in double for n around 15; running the whole formula at dps~50
-    and rounding once at the end sidesteps that entirely.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    with mpmath.workdps(dps):
-        lnm = mpmath.ln(m)
-        acc = mpmath.mpf(0)
-        for l in range(1, m + 1):
-            acc += mpmath.ln(l) ** n / l
-        acc -= lnm ** (n + 1) / (n + 1)
-        acc -= lnm ** n / (2 * m)
-        derivs = _log_power_derivative_coeffs(n, 2 * q - 1)
-        for r in range(1, q + 1):
-            d = 2 * r - 1
-            val = mpmath.mpf(0)
-            for a, c in derivs[d].items():
-                val += c * lnm ** a
-            val /= mpmath.mpf(m) ** (d + 1)
-            b = bernoulli_fraction(2 * r) / math.factorial(2 * r)
-            acc -= val * mpmath.mpf(b.numerator) / b.denominator
-        return float(acc)
-
-
-def stieltjes_laurent_fit(
-    n_max: int = 10,
-    radius: float = 0.9,
-    samples: int = 128,
-) -> list[float]:
-    """c_0..c_{n_max} from a least-squares (DFT) fit of the regular part
-    zeta(s) - 1/(s-1) on a ring around s = 1, sampled with the
-    double-precision engine. Noise grows like n! eps / radius^n, so this is
-    only meaningful through n ~ 10."""
-    phi = 2.0 * math.pi * np.arange(samples) / samples
-    ring = 1.0 + radius * np.exp(1j * phi)
-    g = zeta_jets(ring, 0)[:, 0] - 1.0 / (ring - 1.0)
-    out = []
-    for n in range(n_max + 1):
-        a_n = np.sum(g * np.exp(-1j * n * phi)) / (samples * radius ** n)
-        out.append(float((-1) ** n * math.factorial(n) * a_n.real))
-    return out
-
-
-@lru_cache(maxsize=None)
-def stieltjes_table(n_max: int = 20) -> StieltjesTable:
-    """Build (once) the cached table, cross-checking the two methods."""
-    values = tuple(stieltjes_limit_formula(n) for n in range(n_max + 1))
-    if not (0.577215 < values[0] < 0.577216):
-        raise AccuracyError(f"c_0 = {values[0]} outside its known window")
-    check_through = min(10, n_max)
-    fit = stieltjes_laurent_fit(n_max=check_through)
-    for n in range(check_through + 1):
-        if abs(values[n] - fit[n]) > 1e-9:
-            raise AccuracyError(
-                f"stieltjes c_{n}: limit formula {values[n]} vs ring fit {fit[n]}"
-            )
-    return StieltjesTable(
-        values=values, method="limit-formula", cross_checked_through=check_through
+# c_n = float(mpmath.stieltjes(n)), the correctly rounded doubles
+_STIELTJES = StieltjesTable(
+    values=(
+        0.5772156649015329,
+        -0.07281584548367673,
+        -0.00969036319287232,
+        0.002053834420303346,
+        0.0023253700654673,
+        0.0007933238173010627,
+        -0.0002387693454301996,
+        -0.000527289567057751,
+        -0.0003521233538030395,
+        -3.439477441808805e-05,
+        0.0002053328149090648,
+        0.0002701844395439035,
+        0.0001672729121051402,
+        -2.7463806603760158e-05,
+        -0.00020920926205929996,
+        -0.0002834686553202414,
+        -0.00019969685830896976,
+        2.6277037109918338e-05,
     )
+)
+
+
+def stieltjes_table() -> StieltjesTable:
+    """The table of c_0..c_17."""
+    return _STIELTJES
 
 
 def stieltjes(n: int) -> float:
     """c_n for 0 <= n <= 17."""
     if not (0 <= n <= 17):
         raise DomainError("stieltjes supports n = 0..17")
-    return stieltjes_table()[n]
+    return _STIELTJES[n]

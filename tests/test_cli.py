@@ -113,6 +113,45 @@ def test_cmoment_payload(capsys):
     assert payload["ratio"] == payload["value"] / payload["hall"]
 
 
+def test_cmoment_reports_quadrature(capsys):
+    code, out, _ = run_cli(capsys, "cmoment", "--j", "0", "--t-max", "200")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[-3:] == ["error_estimate", "panels", "evaluations"]
+    assert payload["evaluations"] == 15 * payload["panels"] + 64
+    assert 0.0 < payload["error_estimate"] <= 1e-9 * payload["value"]
+    for workers in ("2", "4"):
+        again = run_cli(capsys, "cmoment", "--j", "0", "--t-max", "200", "--workers", workers)
+        assert again == (0, out, "")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the domain check")
+
+
+def test_cmoment_checks_prediction_domain_first(capsys, monkeypatch):
+    # Hall's prediction needs T >= 10; the integral must not run first
+    import hzml.cli as cli_mod
+    import hzml.moments as mo
+
+    monkeypatch.setattr(cli_mod, "quadrature_report", _never)
+    monkeypatch.setattr(mo, "_z_core", _never)
+    code, out, err = run_cli(capsys, "cmoment", "--j", "0", "--t-max", "9.5")
+    assert (code, out) == (2, "")
+    assert err == "validation error: window parameter T must be >= 10\n"
+
+
+def test_moment_checks_prediction_domain_first(capsys, monkeypatch):
+    # the finite-T prediction needs T >= 100; the census must not run first
+    import hzml.moments as mo
+
+    monkeypatch.setattr(mo, "find_zeros_certified", _never)
+    monkeypatch.setattr(mo, "z_deriv_many", _never)
+    code, out, err = run_cli(capsys, "moment", "--j", "0", "--k", "1", "--t-max", "50")
+    assert (code, out) == (2, "")
+    assert err == "validation error: finite mode needs T >= 100\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_cmoment_rejects_bad_tol(capsys, tol):
     code, out, err = run_cli(capsys, "cmoment", "--j", "0", "--t-max", "3", "--tol", tol)

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from hzml.errors import BranchError, DomainError, QuadratureError
 from hzml.hardyz import z_deriv_many
 from hzml.moments import (
+    _GK15,
     ZeroList,
+    _panel_grid,
     continuous_moment,
     count_bound,
     count_check,
@@ -30,6 +32,7 @@ from hzml.moments import (
     hall_prediction,
     interlacing_report,
     moment_report,
+    quadrature_report,
 )
 from hzml.zetacore import stieltjes
 
@@ -249,6 +252,76 @@ def test_continuous_moment_matches_hall_j0():
 def test_continuous_moment_worker_determinism():
     base = continuous_moment(1, 200.0)
     assert continuous_moment(1, 200.0, workers=4) == base
+    assert quadrature_report(1, 200.0, workers=4) == quadrature_report(1, 200.0)
+
+
+def _monomial_integral(d):
+    return (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+
+
+def test_gauss_kronrod_rule():
+    nodes, wk, wg = _GK15
+    assert nodes.size == wk.size == 15 and wg.size == 7
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(wk, wk[::-1]) and np.array_equal(wg, wg[::-1])
+    # the Gauss nodes are nodes 1, 3, ..., 13: the 7-point Gauss-Legendre rule
+    gx, gw = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(nodes[1::2] - gx)) <= 1e-15
+    assert np.max(np.abs(wg - gw)) <= 1e-15
+    for d in range(23):
+        assert abs(np.sum(wk * nodes**d) - _monomial_integral(d)) <= 1e-15, d
+    for d in range(14):
+        assert abs(np.sum(wg * nodes[1::2] ** d) - _monomial_integral(d)) <= 1e-15, d
+    # and neither rule is exact one even degree higher
+    assert abs(np.sum(wk * nodes**24) - _monomial_integral(24)) > 1e-12
+    assert abs(np.sum(wg * nodes[1::2] ** 14) - _monomial_integral(14)) > 1e-12
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_quadrature_error_estimate_bounds_error(j):
+    # reference: the same panels under the 64-point Gauss-Legendre rule
+    T = 200.0
+    rep = quadrature_report(j, T)
+    assert rep.rounds == 1
+    lo, hi = _panel_grid(T)
+    x, w = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * (hi - lo)
+    pts = (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
+    sq = z_deriv_many(pts.ravel(), j).reshape(pts.shape) ** 2
+    panels = half * np.sum(sq * w[None, :], axis=1)
+    sliver = quadrature_report(j, 2.0).value
+    ref = math.fsum([sliver, *panels])
+    assert 0.0 < rep.error_estimate <= rep.tol * rep.value
+    assert abs(rep.value - ref) <= rep.error_estimate
+
+
+def test_quadrature_report_one_round():
+    rep = quadrature_report(0, 1000.0)
+    assert rep.rounds == 1
+    assert rep.panels == len(_panel_grid(1000.0)[0])
+    assert rep.evaluations == 15 * rep.panels + 64
+    assert rep.tol == 1e-9 and rep.error_estimate <= rep.tol * rep.value
+    assert continuous_moment(0, 1000.0) == rep.value
+
+
+def test_quadrature_refines_only_panels_over_their_share():
+    # at tol 1e-12 the first round's estimate (4e-11 relative) fails; every
+    # halved panel costs two new ones, so evaluations fix the split count
+    grid = len(_panel_grid(200.0)[0])
+    coarse = quadrature_report(0, 200.0)
+    fine = quadrature_report(0, 200.0, tol=1e-12)
+    assert fine.rounds >= 2
+    assert grid < fine.panels < 2 * grid
+    assert fine.evaluations == 64 + 15 * (2 * fine.panels - grid)
+    assert fine.error_estimate <= 1e-12 * fine.value
+    assert abs(fine.value - coarse.value) <= coarse.error_estimate
+    assert quadrature_report(0, 200.0, workers=4, tol=1e-12) == fine
+
+
+def test_quadrature_sliver_only():
+    rep = quadrature_report(0, 1.5)
+    assert (rep.panels, rep.rounds, rep.evaluations) == (0, 0, 64)
+    assert rep.error_estimate == 0.0 and rep.value > 0.0
 
 
 @pytest.mark.parametrize("T", [1.5, 30.0])
