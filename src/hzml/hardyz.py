@@ -23,6 +23,20 @@ On the critical line
 
 is real; the imaginary residue is the branch diagnostic.
 
+That is the Euler-Maclaurin (EM) path, and it does O(t) work a point. On
+the critical line from t = 1e4 (_RS_MIN_T) up, Z^(j)(t) comes instead from
+the Riemann-Siegel jets (riemann_siegel.rs_z_jets): floor(sqrt(t / 2 pi))
+<= 89 terms plus the remainder C_0..C_4, in one pass for every order. They
+are real, so a residue is reported for EM points only; a non-finite value
+still reads NaN and fails the guard. _line_core is the one place that
+routes, point by point, so z_deriv_many, z_pair_many and everything built
+on them (zero scans, refinement, discrete moments, the quadrature) take the
+same evaluator at the same height. Measured against mpmath at Z^(0..4), cut
+after C_4 the Riemann-Siegel jets are off by 8.5e-12 (scaled 1 + |Z|) near
+t = 2000, 8.5e-13 on [4e3, 6e3] and 1.2e-13 on [9e3, 1.1e4]: hence the
+crossover at 1e4. Off the line (zk_many, fe_residual, script_zk) and below
+1e4 everything stays on EM.
+
 The windowed companion replaces each f_{k-mu} by its leading growth
 (L/2)^{k-mu} with L = log(T / 2 pi):
 
@@ -41,9 +55,15 @@ import numpy as np
 
 from .chiomega import chi_many, omega_jets, phase_theta
 from .errors import BranchError, ConvergenceError, DomainError
+from .riemann_siegel import rs_z_jets
 from .zetacore import T_CAP, zeta_jets, zeta_jets_centred
 
 K_CAP = 8
+# Critical-line heights from here up take the Riemann-Siegel jets. Cut
+# after C_4, they are off from mpmath's siegelz (Z^(0..4), scaled 1 + |Z|,
+# 8 points each) by 2.2e-10 near t = 600, 8.5e-12 near 2000, 8.5e-13 on
+# [4e3, 6e3] and 1.2e-13 on [9e3, 1.1e4].
+_RS_MIN_T = 1.0e4
 _LEAK_BOUND = 1e-8
 _POOL_MIN_POINTS = 512
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -96,15 +116,34 @@ def _leak(w: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(w), np.abs(w.imag) / (1.0 + np.abs(w.real)), np.nan)
 
 
-def _line_core(t: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z^(j)(t)..Z^(m)(t), shape (P, m-j+1), and each point's largest scaled
-    imaginary residue; no lower t-bound so the [0, 2] quadrature sliver can
-    reuse it."""
+def _em_line_core(t: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z^(j)(t)..Z^(m)(t), shape (P, m-j+1), from the Euler-Maclaurin zeta
+    jets, and each point's largest scaled imaginary residue; no lower
+    t-bound so the [0, 2] quadrature sliver can reuse it."""
     s = 0.5 + 1j * t
     rot = np.exp(1j * phase_theta(t))
     i_pow = np.array([_I_POW[k % 4] for k in range(j, m + 1)])
     w = i_pow[None, :] * rot[:, None] * _zk_columns(s, j, m)
     return w.real, _leak(w).max(axis=1)
+
+
+def _line_core(t: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z^(j)(t)..Z^(m)(t), shape (P, m-j+1), and each point's largest scaled
+    imaginary residue: the one place that picks the evaluator, per point.
+
+    Heights t >= _RS_MIN_T take the Riemann-Siegel jets, which are real, so
+    their residue is 0 (NaN where a value is not finite); all others take
+    _em_line_core."""
+    rs = t >= _RS_MIN_T
+    if not rs.any():
+        return _em_line_core(t, j, m)
+    vals = np.empty((t.size, m - j + 1))
+    leak = np.empty(t.size)
+    z = rs_z_jets(t[rs], m)[:, j:]
+    vals[rs], leak[rs] = z, _leak(z).max(axis=1)
+    if not rs.all():
+        vals[~rs], leak[~rs] = _em_line_core(t[~rs], j, m)
+    return vals, leak
 
 
 def _z_core(t: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +172,7 @@ def _line_points(t, j: int) -> np.ndarray:
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
     t = np.asarray(t, dtype=float).ravel()
-    if t.size and (t.min() < 2.0 or t.max() > T_CAP):
+    if t.size and not (np.isfinite(t).all() and t.min() >= 2.0 and t.max() <= T_CAP):
         raise DomainError(f"t must lie in [2, {T_CAP}]")
     return t
 
@@ -153,7 +192,8 @@ def _check_leak(leak: np.ndarray) -> float:
 
 
 def z_deriv_many(t: np.ndarray, j: int, workers: int = 1, return_diag: bool = False):
-    """Z^(j) on a batch of critical-line heights with the branch check.
+    """Z^(j) on a batch of critical-line heights with the branch check;
+    non-finite heights, and heights outside [2, T_CAP], raise DomainError.
 
     Results are bitwise independent of the worker count: every point's value
     is a pure function of the point alone. A residue above 1e-8, or any
@@ -169,12 +209,14 @@ def z_deriv_many(t: np.ndarray, j: int, workers: int = 1, return_diag: bool = Fa
 
 def z_pair_many(t: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(Z^(k), Z^(k+1)) on a batch of critical-line heights, 0 <= k <= 8,
-    from one zeta_jets_centred(s, k+1) / omega_jets(s, k) / phase_theta pass.
+    from one jet pass of order k+1: below t = 1e4 one zeta_jets_centred(s,
+    k+1) / omega_jets(s, k) / phase_theta pass, from 1e4 up one
+    rs_z_jets(t, k+1) pass.
 
     The order-k values agree with z_deriv_many(t, k) to roundoff, not
-    bitwise: the jet order sets the Euler-Maclaurin length and the centring
-    shift, for k = 3 it also starts the centring, and for k = 4 it switches
-    the zeta jets from the double to the longdouble path
+    bitwise. On the EM path the jet order sets the Euler-Maclaurin length
+    and the centring shift, for k = 3 it also starts the centring, and for
+    k = 4 it switches the zeta jets from the double to the longdouble path
     (zetacore._longdouble_points). The branch check covers both orders.
     """
     t = _line_points(t, k)

@@ -129,6 +129,13 @@ class HallPolynomial:
 
 @dataclass(frozen=True)
 class MomentReport:
+    """The measured moment against the prediction.
+
+    max_imag_leak is the largest scaled imaginary residue |Im w| / (1 + |Re w|)
+    of the Z^(j) values on the Euler-Maclaurin path (heights below 1e4). The
+    Riemann-Siegel values above are real and count as 0; a non-finite value
+    on either path still fails the guard with BranchError."""
+
     j: int
     k: int
     T: float

@@ -42,6 +42,14 @@ raising q to 20 changes no bit.
 The bound the tests check is 1e-11 * max(max_d |zeta^(d)(s)|, 1)
 (tests/test_zetacore.py, test_jets_match_mpmath and test_conjugate_symmetry).
 
+Which points these jets serve: every point off the critical line, and on
+the line the heights below 1e4. From t = 1e4 up hardyz takes Z^(j) on the
+line from the Riemann-Siegel jets (riemann_siegel), which need
+floor(sqrt(t / 2 pi)) <= 89 terms where these need N ~ (0.5 + 0.05 mu) t;
+cut after the remainder term C_4 they are off from mpmath by 8.5e-12 near
+t = 2000 but 1.2e-13 on [9e3, 1.1e4] (hardyz._RS_MIN_T). The longdouble
+path therefore no longer runs on the line above 1e4.
+
 The Stieltjes constants c_0..c_17 are literals: mpmath's values rounded
 to double.
 """
@@ -150,39 +158,56 @@ def _log_table() -> _LogTable:
     return _LogTable(*rows)
 
 
-def _phase_matrix(t: np.ndarray, cols: slice, fdtype) -> np.ndarray:
-    """t_p * log(n) reduced mod 2 pi into [-pi, pi], shape (P, len(n)), for
-    the n of the log table's columns `cols`, returned in fdtype.
+def _reduce_turns(t: np.ndarray, u_hi, u_lo, u) -> tuple[np.ndarray, np.ndarray]:
+    """t u mod 1 as (x, corr), with x + corr the reduced value in turns;
+    t broadcasts against (u_hi, u_lo, u), the split of u into a multiple of
+    2^-29 below 2 (at most 30 bits), the rest, and u rounded to double.
 
     The reduction is exact in double arithmetic (Dekker's split): with
     t_hi = rint(128 t)/128, at most 23 bits since |t| <= T_CAP < 2^16, the
-    product x = t_hi u_hi of at most 53 bits is exact, and so is x - rint(x),
-    a multiple of 2^-36. What is left, t_hi u_lo + t_lo u with t_lo = t - t_hi,
-    is below 0.01 turns and carries ~1e-18 turns of roundoff. Scaling by 2 pi
-    rounds once: x * 2pi_hi is exact, and for longdouble output the parts are
-    added in longdouble. (Scaling x + corr by a double 2 pi rounds twice and
-    adds an error proportional to x; at t ~ 2000 that made zeta on the line
-    2.5x less accurate.) The phase error is therefore set by the longdouble
-    table, |t| * 2 pi * ~1e-19 (a few 1e-14 radians at the height cap), not
-    by the size of t log n; a double product t log n would already lose
-    ~|t log n| * 1e-16 radians."""
-    tab = _log_table()
+    product t_hi u_hi of at most 53 bits is exact, and so is x, its
+    difference from the nearest integer: a multiple of 2^-36 in [-1/2, 1/2].
+    What is left, corr = t_hi u_lo + t_lo u with t_lo = t - t_hi, is below
+    0.01 turns and carries ~1e-18 turns of roundoff."""
     t_hi = np.rint(128.0 * t) / 128.0
-    t_lo = t - t_hi
-    x = np.multiply.outer(t_hi, tab.u_hi[cols])
+    x = t_hi * u_hi
     x -= np.rint(x)
-    corr = np.multiply.outer(t_hi, tab.u_lo[cols])
-    corr += np.multiply.outer(t_lo, tab.u[cols])
-    if fdtype is np.longdouble:
-        x = x.astype(np.longdouble)
-        x += corr
-        x *= _TWO_PI_LD
-        return x
+    corr = t_hi * u_lo
+    corr += (t - t_hi) * u
+    return x, corr
+
+
+def _turns_to_radians(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """2 pi (x + corr) in double for x from _reduce_turns, rounded once: x times
+    2pi_hi (a multiple of 2^-15 with 18 bits) is exact, and only the small
+    rest is scaled by a rounded 2 pi. (Scaling x + corr by a double 2 pi
+    rounds twice and adds an error proportional to x; at t ~ 2000 that made
+    zeta on the line 2.5x less accurate.) Works in place: the result is x,
+    and corr is overwritten."""
     corr *= 2.0 * math.pi
     corr += _TWO_PI_LO * x
     x *= _TWO_PI_HI
     x += corr
     return x
+
+
+def _phase_matrix(t: np.ndarray, cols: slice, fdtype) -> np.ndarray:
+    """t_p * log(n) reduced mod 2 pi into [-pi, pi], shape (P, len(n)), for
+    the n of the log table's columns `cols`, returned in fdtype.
+
+    The reduction (_reduce_turns) is exact; for longdouble output the parts
+    are added and scaled in longdouble. The phase error is therefore set by
+    the longdouble table, |t| * 2 pi * ~1e-19 (a few 1e-14 radians at the
+    height cap), not by the size of t log n; a double product t log n would
+    already lose ~|t log n| * 1e-16 radians."""
+    tab = _log_table()
+    x, corr = _reduce_turns(t[:, None], tab.u_hi[cols], tab.u_lo[cols], tab.u[cols])
+    if fdtype is np.longdouble:
+        x = x.astype(np.longdouble)
+        x += corr
+        x *= _TWO_PI_LD
+        return x
+    return _turns_to_radians(x, corr)
 
 
 def _longdouble_points(sigma: np.ndarray, mu_max: int) -> np.ndarray:

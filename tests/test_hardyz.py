@@ -165,20 +165,42 @@ def test_branch_tripwire_fires(monkeypatch):
         z_deriv_many(np.linspace(20.0, 21.0, 5), 0)
 
 
+def _nan_jets(monkeypatch, hz):
+    # NaN jets from both evaluators: Euler-Maclaurin below 1e4, Riemann-Siegel
+    # from there up
+    real_em, real_rs = hz.zeta_jets_centred, hz.rs_z_jets
+    monkeypatch.setattr(
+        hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_em(s, m))
+    )
+    monkeypatch.setattr(hz, "rs_z_jets", lambda t, m: real_rs(t, m) * np.nan)
+
+
 def test_non_finite_values_raise(monkeypatch):
-    # a NaN zeta jet makes every Z value NaN, and NaN > bound is False, so
-    # the guard must be written the other way round
+    # a NaN jet makes every Z value NaN, and NaN > bound is False, so the
+    # guard must be written the other way round; each evaluator must trip it
     import hzml.hardyz as hz
 
-    real_jets = hz.zeta_jets_centred
-    monkeypatch.setattr(
-        hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_jets(s, m))
-    )
-    t = np.array([3.0e4, 4.5e4])
-    with pytest.raises(BranchError):
-        z_deriv_many(t, 0, return_diag=True)
-    with pytest.raises(BranchError):
-        z_pair_many(t, 0)
+    _nan_jets(monkeypatch, hz)
+    for t in (np.array([3.0e3, 4.5e3]), np.array([3.0e4, 4.5e4])):
+        with pytest.raises(BranchError):
+            z_deriv_many(t, 0, return_diag=True)
+        with pytest.raises(BranchError):
+            z_pair_many(t, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_heights_raise(bad):
+    # rejected before any kernel runs: no RuntimeWarning, and a NaN cannot
+    # pick an evaluator
+    import warnings
+
+    t = np.array([3.0e4, bad, 50.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            z_deriv_many(t, 0)
+        with pytest.raises(DomainError):
+            z_pair_many(t, 4)
 
 
 @pytest.mark.parametrize("k", [0, 3, 4, 8])
@@ -189,7 +211,11 @@ def test_z_pair_matches_single_orders(k):
     # plain jets with centred ones). At the zeros of Z^(4) the two orders
     # differ by up to 5e-12, on either path: the log table's rounding of the
     # n that only the longer truncation sums (test_line_double_path_margin
-    # compares the paths at one truncation)
+    # compares the paths at one truncation). From t = 1e4 up the public
+    # functions take the Riemann-Siegel jets, so the [2e4, T_CAP] band and
+    # the zeros of Z^(4) are checked on the Euler-Maclaurin core directly
+    import hzml.hardyz as hz
+
     rng = np.random.default_rng(k)
     t = np.concatenate(
         [
@@ -198,18 +224,30 @@ def test_z_pair_matches_single_orders(k):
             rng.uniform(2.0e4, T_CAP, 10),
         ]
     )
+    t_em = t[40:]
     if k == 4:
         zeros = [z for a in (2.4e4, 4.6e4) for z in find_zeros(4, a, a + 1.5).zeros]
         assert len(zeros) >= 3
         t = np.concatenate([t, zeros])
-    vals, dvals = z_pair_many(t, k)
-    ref = z_deriv_many(t, k)
-    assert np.all(np.abs(vals - ref) <= 1e-11 * (1.0 + np.abs(ref)))
-    if k < 8:
-        ref = z_deriv_many(t, k + 1)
-        assert np.all(np.abs(dvals - ref) <= 1e-11 * (1.0 + np.abs(ref)))
-    else:
+        t_em = np.concatenate([t_em, zeros])
+
+    def em_single(x, j):
+        return hz._em_line_core(x, j, j)[0][:, 0]
+
+    def em_pair(x, j):
+        vals = hz._em_line_core(x, j, j + 1)[0]
+        return vals[:, 0], vals[:, 1]
+
+    public = z_pair_many(t, k)
+    for pts, (vals, dvals), single in ((t, public, z_deriv_many), (t_em, em_pair(t_em, k), em_single)):
+        ref = single(pts, k)
+        assert np.all(np.abs(vals - ref) <= 1e-11 * (1.0 + np.abs(ref)))
+        if k < 8:
+            ref = single(pts, k + 1)
+            assert np.all(np.abs(dvals - ref) <= 1e-11 * (1.0 + np.abs(ref)))
+    if k == 8:
         # Z^(9) lies past z_deriv_many's cap: 5-point differences of Z^(8)
+        dvals = public[1]
         h = 1e-3
         f = {d: z_deriv_many(t[:30] + d * h, 8) for d in (-2, -1, 1, 2)}
         fd = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * h)

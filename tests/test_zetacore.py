@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hzml.errors import DomainError, PoleProximityError
-from hzml.hardyz import z_deriv, z_deriv_many, z_pair_many
 from hzml.moments import find_zeros
 from hzml.zetacore import (
     T_CAP,
@@ -81,14 +80,18 @@ def test_high_t_accuracy():
 
 @pytest.mark.parametrize("j", [1, 4])
 def test_critical_line_accuracy_near_cap(j):
-    # Dirichlet terms decay only like n^-1/2 on the line. z_deriv runs both
-    # orders on the double path; z_pair_many(., 4) needs zeta jets of order
-    # 5, which run in longdouble
-    t = 49999.5
+    # Dirichlet terms decay only like n^-1/2 on the line. Jets of order j
+    # run on the double path; order j + 1 = 5 (the pair of j = 4) runs in
+    # longdouble. The public functions take the Riemann-Siegel jets at this
+    # height, so the Euler-Maclaurin core is called directly
+    from hzml.hardyz import _em_line_core
+
+    t = np.array([49999.5])
     with mp.workdps(30):
-        ref = float(mp.mp.rs_z(mp.mpf(t), j))
-    assert abs(z_deriv(t, j) - ref) <= 1e-11 * max(abs(ref), 1.0)
-    paired = z_pair_many(np.array([t]), j)[0][0]
+        ref = float(mp.mp.rs_z(mp.mpf(t[0]), j))
+    single = _em_line_core(t, j, j)[0][0, 0]
+    paired = _em_line_core(t, j, j + 1)[0][0, 0]
+    assert abs(single - ref) <= 1e-11 * max(abs(ref), 1.0)
     assert abs(paired - ref) <= 1e-11 * max(abs(ref), 1.0)
 
 
@@ -96,17 +99,20 @@ def test_line_double_path_margin(monkeypatch):
     # Z^(4) on the line runs in double (centred jets) only because it stays
     # within a tenth of the 1e-11 contract of the longdouble path at the
     # same truncation: at the zeros of Z^(4), where the scale 1 + |Z| gives
-    # no cover, and near the height cap, where the sums are longest
+    # no cover, and near the height cap, where the sums are longest. Both
+    # sides call the Euler-Maclaurin core, which the public functions no
+    # longer take at these heights
     import hzml.zetacore as zc
+    from hzml.hardyz import _em_line_core
 
     zeros = [z for a in (2.4e4, 4.6e4) for z in find_zeros(4, a, a + 1.5).zeros]
     assert len(zeros) >= 3
     t = np.concatenate([zeros, np.random.default_rng(4).uniform(2.0e4, T_CAP, 20)])
-    dbl = z_deriv_many(t, 4)
+    dbl = _em_line_core(t, 4, 4)[0][:, 0]
     monkeypatch.setattr(
         zc, "_longdouble_points", lambda sigma, mu: np.ones(np.shape(sigma), bool)
     )
-    ld = z_deriv_many(t, 4)
+    ld = _em_line_core(t, 4, 4)[0][:, 0]
     assert np.all(np.abs(dbl - ld) <= 1e-12 * (1.0 + np.abs(ld)))
 
 
