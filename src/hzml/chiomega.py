@@ -231,17 +231,3 @@ def chi_many(s: np.ndarray) -> np.ndarray:
 def chi(s: complex) -> complex:
     return complex(chi_many(np.array([s]))[0])
 
-
-def chi_one_minus_s_stirling(s: complex) -> complex:
-    """Stirling-regime approximation to chi(1 - s) for t >= 1:
-    e^{-i pi/4} (t/2pi)^(sigma - 1/2) exp(i t log(t/(2 pi e)))."""
-    t = s.imag
-    if t < 1.0:
-        raise DomainError("stirling form of chi(1-s) requires t >= 1")
-    sigma = s.real
-    r = t / (2.0 * math.pi)
-    return (
-        np.exp(-0.25j * math.pi)
-        * r ** (sigma - 0.5)
-        * np.exp(1j * t * math.log(t / (2.0 * math.pi * math.e)))
-    )

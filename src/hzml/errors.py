@@ -21,10 +21,6 @@ class NumericalAlarm(RuntimeError):
     """Base class for self-diagnosed numerical failures."""
 
 
-class AccuracyError(NumericalAlarm):
-    """Two independent computations of the same quantity disagree."""
-
-
 class BranchError(NumericalAlarm):
     """A quantity that must be real came back with a large imaginary part,
     indicating a broken branch of chi^(-1/2)."""

@@ -24,18 +24,23 @@ On the critical line
 is real; the imaginary residue is the branch diagnostic.
 
 That is the Euler-Maclaurin (EM) path, and it does O(t) work a point. On
-the critical line from t = 1e4 (_RS_MIN_T) up, Z^(j)(t) comes instead from
+the critical line from t = 1e3 (_RS_MIN_T) up, Z^(j)(t) comes instead from
 the Riemann-Siegel jets (riemann_siegel.rs_z_jets): floor(sqrt(t / 2 pi))
-<= 89 terms plus the remainder C_0..C_4, in one pass for every order. They
-are real, so a residue is reported for EM points only; a non-finite value
-still reads NaN and fails the guard. _line_core is the one place that
-routes, point by point, so z_deriv_many, z_pair_many and everything built
-on them (zero scans, refinement, discrete moments, the quadrature) take the
-same evaluator at the same height. Measured against mpmath at Z^(0..4), cut
-after C_4 the Riemann-Siegel jets are off by 8.5e-12 (scaled 1 + |Z|) near
-t = 2000, 8.5e-13 on [4e3, 6e3] and 1.2e-13 on [9e3, 1.1e4]: hence the
-crossover at 1e4. Off the line (zk_many, fe_residual, script_zk) and below
-1e4 everything stays on EM.
+<= 89 terms plus Gabcke's remainder C_0..C_K, with K = 9..6 below t =
+10053 and K = 4 above (riemann_siegel.correction_terms), in one pass for
+every order. They are real, so a residue is reported for EM points only; a
+non-finite value still reads NaN and fails the guard. _line_core is the one
+place that routes, point by point, so z_deriv_many, z_pair_many and
+everything built on them (zero scans, refinement, discrete moments, the
+quadrature) take the same evaluator at the same height. Against mpmath's
+siegelz formula (scaled 1 + |Z^(j)|) at 100 heights in [1e3, 1e4], N steps
+included, the Riemann-Siegel jets are within 3.0e-15 for j <= 1, where EM
+is within 1.0e-14, and within 9.2e-15 for j <= 4 at 20 of them (EM
+3.4e-14); from t = 10053 up, where the remainder stops at C_4, Z is off
+by up to 6.5e-14 near 1.06e4 and 7e-15 near 2e4. They cost 3-11 us a
+point against EM's 31 us at t = 1000 and 159 us at 9000, and theta's
+Stirling series holds from 1e3: hence the crossover at 1e3. Off the line (zk_many, fe_residual, script_zk) and below
+1e3 everything stays on EM.
 
 The windowed companion replaces each f_{k-mu} by its leading growth
 (L/2)^{k-mu} with L = log(T / 2 pi):
@@ -59,11 +64,9 @@ from .riemann_siegel import rs_z_jets
 from .zetacore import T_CAP, zeta_jets, zeta_jets_centred
 
 K_CAP = 8
-# Critical-line heights from here up take the Riemann-Siegel jets. Cut
-# after C_4, they are off from mpmath's siegelz (Z^(0..4), scaled 1 + |Z|,
-# 8 points each) by 2.2e-10 near t = 600, 8.5e-12 near 2000, 8.5e-13 on
-# [4e3, 6e3] and 1.2e-13 on [9e3, 1.1e4].
-_RS_MIN_T = 1.0e4
+# Critical-line heights from here up take the Riemann-Siegel jets (see the
+# module docstring); theta_reduced and theta_derivatives hold from 1e3 up.
+_RS_MIN_T = 1.0e3
 _LEAK_BOUND = 1e-8
 _POOL_MIN_POINTS = 512
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -209,8 +212,8 @@ def z_deriv_many(t: np.ndarray, j: int, workers: int = 1, return_diag: bool = Fa
 
 def z_pair_many(t: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(Z^(k), Z^(k+1)) on a batch of critical-line heights, 0 <= k <= 8,
-    from one jet pass of order k+1: below t = 1e4 one zeta_jets_centred(s,
-    k+1) / omega_jets(s, k) / phase_theta pass, from 1e4 up one
+    from one jet pass of order k+1: below t = 1e3 one zeta_jets_centred(s,
+    k+1) / omega_jets(s, k) / phase_theta pass, from 1e3 up one
     rs_z_jets(t, k+1) pass.
 
     The order-k values agree with z_deriv_many(t, k) to roundoff, not

@@ -132,7 +132,7 @@ class MomentReport:
     """The measured moment against the prediction.
 
     max_imag_leak is the largest scaled imaginary residue |Im w| / (1 + |Re w|)
-    of the Z^(j) values on the Euler-Maclaurin path (heights below 1e4). The
+    of the Z^(j) values on the Euler-Maclaurin path (heights below 1e3). The
     Riemann-Siegel values above are real and count as 0; a non-finite value
     on either path still fails the guard with BranchError."""
 

@@ -4,19 +4,29 @@ formula.
 With a = sqrt(t / 2 pi), N = floor(a) and p = a - N,
 
     Z(t) = 2 sum_{n<=N} n^(-1/2) cos(theta(t) - t log n)
-           + (-1)^(N-1) sum_{k=0}^{4} C_k(p) a^(-1/2-k) + O(a^(-11/2)),
+           + (-1)^(N-1) sum_{k=0}^{K} C_k(p) a^(-1/2-k) + O(a^(-3/2-K)),
 
-where C_k are Gabcke's combinations of the derivatives of
+where C_k are Gabcke's remainder terms, C_0 = Psi(p) = cos 2 pi (p^2 - p -
+1/16) / cos 2 pi p (Gabcke 1979; Arias de Reyna, Math. Comp. 2011). K is
+set per N (correction_terms): 9 at N = 12 (t = 905), down to 6 at N = 39,
+and 4 from N = 40 (t = 10053) up. Both parts are carried as real jets in h
+at t + h with N held fixed, so one pass gives Z^(0..m)(t): the main sum as
+2 Re[E(h) S(h)], with S_a the order-a Dirichlet weights (kappa - log n)^a /
+a! centred on kappa = theta'(t) and E(h) the jet of exp(i (theta(t + h) -
+theta(t) - kappa h)), which starts at order 2; the remainder by composing
+the Taylor series of C_k at p with the binomial series of p(t + h) - p and
+a(t + h)^(-1/2-k) in h / t.
 
-    Psi(p) = cos 2 pi (p^2 - p - 1/16) / cos 2 pi p
+Largest gap from mpmath's siegelz formula at 30 digits, scaled
+1 + |Z^(j)|, at the heights of test_rs_matches_siegelz_below_1e4 (N steps
+included):
 
-(Gabcke 1979; Arias de Reyna, Math. Comp. 2011). Both parts are carried as
-real jets in h at t + h with N held fixed, so one pass gives Z^(0..m)(t):
-the main sum as 2 Re[E(h) S(h)], with S_a the order-a Dirichlet weights
-(kappa - log n)^a / a! centred on kappa = theta'(t) and E(h) the jet of
-exp(i (theta(t + h) - theta(t) - kappa h)), which starts at order 2; the
-remainder by composing the Taylor series of C_k at p with the binomial
-series of p(t + h) - p and a(t + h)^(-1/2-k) in h / t.
+    [1e3, 1e4]               j <= 1, 100 points   j <= 4, 20 points
+    Riemann-Siegel, K 9..6   3.0e-15              9.2e-15
+    Euler-Maclaurin          1.0e-14              3.4e-14
+
+From t = 10053 up, where K = 4, Z is off by up to 6.5e-14 near 1.06e4 and
+7e-15 near 2e4.
 
 theta(t) and t log n enter the main sum at first order, so both are
 reduced mod 2 pi in split double (zetacore._reduce_turns, as for the
@@ -25,16 +35,17 @@ Euler-Maclaurin phases). For theta, with n = rint(t),
     theta(t) = (t/2) (log(n / 2 pi) - 1) + (t/2) log1p((t - n) / n)
                - pi/8 + 1/(48 t) + 7/(5760 t^3) + 31/(80640 t^5) + ...,
 
-and (log(n / 2 pi) - 1) / 2 pi, like log n / 2 pi for n <= 89, is rounded
-once from a 40-digit decimal value before the split. The same Stirling
+where (log(n / 2 pi) - 1) / 2 pi comes in double-double from a 40-digit
+decimal anchor per 256 values of n (_theta_block), and log n / 2 pi for
+n <= 89 from 40-digit decimal logs, each split once. The same Stirling
 series, differentiated termwise, gives the jet of theta: 17-84 us a call
 for orders 1-9 at one point, where chiomega.psi_jets would take 100-570 us,
 more than the rest of the kernel.
 
-Psi is even in x = p - 1/2 and entire; its Taylor series in x to degree 72
-(_PSI_COEFFS) gives Psi^(e) for e <= 12 + 9 to double precision on
-|x| <= 1/2. Every quantity is a function of the point alone, and the sums
-over n run per truncation N, so a point's bits do not depend on the batch.
+C_k is entire and has the parity of k in x = p - 1/2; its Taylor series in
+x (_C_SERIES) gives every C_k^(r), r <= 9, on |x| <= 1/2. Every quantity
+is a function of the point alone, and the sums over n run per truncation
+N, so a point's bits do not depend on the batch.
 """
 
 from __future__ import annotations
@@ -48,72 +59,132 @@ import numpy as np
 from .errors import DomainError
 from .zetacore import T_CAP, _reduce_turns, _turns_to_radians
 
-# Taylor coefficients of Psi(1/2 + x) in x^0, x^2, ..., x^72: the series
-# quotient -cos(2 pi (x^2 - 5/16)) / cos(2 pi x) at 80 digits (mpmath),
-# rounded to double
-_PSI_COEFFS = (
-    0.3826834323650898,
-    1.7489618723100817,
-    2.118025207685496,
-    -0.8707216670511481,
-    -3.4733112243465167,
-    -1.6626947308999325,
-    1.216731288919232,
-    1.3014304161007977,
-    0.03051102182736167,
-    -0.3755803051545095,
-    -0.1085784416564066,
-    0.051832902999549624,
-    0.029999480619902277,
-    -0.0022759396706125644,
-    -0.004382647416580339,
-    -0.0004064230183729847,
-    0.0004006097785422114,
-    8.971057991388841e-05,
-    -2.3025650027239108e-05,
-    -9.380006601906792e-06,
-    6.323514947609108e-07,
-    6.551022819231502e-07,
-    2.210523745552697e-08,
-    -3.322316176445629e-08,
-    -3.734910989933656e-09,
-    1.2445067060797738e-09,
-    2.476820537650219e-10,
-    -3.284272816891627e-11,
-    -1.1305406852298404e-11,
-    4.565463979588694e-13,
-    3.9598480945249214e-13,
-    7.849566221259617e-15,
-    -1.1059043150991233e-14,
-    -7.738543987641508e-16,
-    2.4857755550271373e-16,
-    3.0514797188827216e-17,
-    -4.414297887793303e-18,
+# Taylor coefficients of C_k(1/2 + x) for k = 0..12, in x^(k mod 2), x^(2 +
+# k mod 2), ...: Arias de Reyna's terms (Math. Comp. 2011, from the Taylor
+# coefficients c_2n of F(z) = (e^(pi i (z^2/2 + 3/8)) - i sqrt(2) cos(pi z/2))
+# / (2 cos pi z)) regrouped with the Stirling series of theta into Gabcke's
+# real C_k, at 200 digits (mpmath), rounded to double. C_0 is Psi. Each
+# series stops where the rest changes C_k^(r)(p) a^(-1/2-k) (2 pi a)^-r, for
+# r <= 9 and a >= 12, by less than 1e-19.
+_C_SERIES = (
+    (
+        0.3826834323650898, 1.7489618723100817, 2.118025207685496,
+        -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
+        1.216731288919232, 1.3014304161007977, 0.03051102182736167,
+        -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+        0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+        -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+        -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
+    ),
+    (
+        -0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
+        1.2634964862799458, -1.695108997559503, -2.9998711967650102,
+        -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
+        -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
+        0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
+        -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
+        -3.956359669003182e-05, -4.7624592453571896e-05,
+    ),
+    (
+        0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
+        0.14291492748532125, 1.3303391766687565, 0.3522472353403734,
+        -2.421001595891951, -1.6760787022538108, 1.3689416723328371,
+        1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
+        -0.09911649873041208, 0.14033480067387008, 0.04782352019827292,
+        -0.017356040641479782, -0.010225012534028593, 0.0009274149159794888,
+        0.0013572194372373386, 6.41369012029388e-05, -0.0001230080569819663,
+    ),
+    (
+        -0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
+        -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
+        -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
+        1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
+        -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
+        -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
+        0.0024243969641103086, 0.000437647697741857,
+    ),
+    (
+        0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
+        0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
+        0.9507754185141751, 0.5341535312914873, -1.67634944117634,
+        -1.076747157875129, 1.235339301656597, 1.0257825340057276,
+        -0.40124095793988546, -0.5036663995108304, 0.03573487795502745,
+        0.14431763086785418, 0.01509152741790347, -0.026098874779194363,
+        -0.006126628379519262, 0.003077503129870841,
+    ),
+    (
+        0.00022686811845737363, 0.0011081246853718388, -0.016218579255550092,
+        0.052765034053987414, 0.02570880200903324, -0.38058660440806397,
+        0.22531987892642316, 1.0344573316495222, -0.5528257697050813,
+        -1.5287712641078073, 0.32828366427719585, 1.229110218540087,
+        0.040936939383115295, -0.558604047264202, -0.11241976368059116,
+        0.1521267771179559, 0.051737188455280386, -0.025612276897007284,
+        -0.012963672514046178,
+    ),
+    (
+        3.369099840108094e-05, -0.00048730387277374067, 0.0034913041151209494,
+        -0.010636181410824536, -0.007962052861482919, 0.1237587562368654,
+        -0.1849404122581205, -0.30393580239679546, 0.7612833126395632,
+        0.4067440568556812, -1.2301721808541708, -0.5117640855696522,
+        0.9962463615472547, 0.47056716161861106, -0.4414445866526114,
+        -0.25918493310535273, 0.11117688993542343, 0.08794868546608423,
+    ),
+    (
+        6.612479918279905e-05, -0.00044670409577338735, 0.0010840232068089312,
+        0.005028543891765806, -0.03886148551530864, 0.07707956741410073,
+        0.06355969744063397, -0.4074596273039508, 0.1803375211195864,
+        0.8064302485606453, -0.5178358018314444, -0.9482271795820716,
+        0.4719558561190385, 0.7154101522815643, -0.19296662747432222,
+        -0.3455616621306974,
+    ),
+    (
+        2.4197536136117965e-06, -1.611352277070405e-05, 0.0002171808253299485,
+        -0.0023441555503488335, 0.01155263179636765, -0.02392447916109697,
+        -0.015530804396368813, 0.16805457215955893, -0.20767893102427126,
+        -0.2705105627343296, 0.6603245174239842, 0.17484629360273835,
+        -0.9023846153142663, -0.09498217340106974, 0.7024752578716655,
+        0.09268759838045737,
+    ),
+    (
+        1.376824100605469e-05, -0.00010836427024418868, 0.0006961287408707673,
+        -0.002815328661230075, 0.00521128162812441, 0.007856763175787419,
+        -0.06487760215296878, 0.11518596547976107, 0.04895275610619873,
+        -0.3984619535620612, 0.238884035084224, 0.5548514525057807,
+        -0.5214374827560175, -0.4863022480161819,
+    ),
+    (
+        -2.000102517333251e-07, 1.0991501782401885e-05, -0.00010166242807169727,
+        0.0003909897258050479, -0.00026736362667853134, -0.004837981715604847,
+        0.024729580718188874, -0.04929616638531094, -0.00011394985522762532,
+        0.18470186771797276, -0.25652183258970757, -0.15371365234913448,
+        0.5595524945513238,
+    ),
+    (
+        2.1165343104016636e-06, -6.113233459416969e-06, 4.152717215400545e-05,
+        -0.00038682933931457095, 0.002373048024098571, -0.008852454011086692,
+        0.01741345863882657, -0.0012712916000469617, -0.07959730639378094,
+        0.16172806405795673,
+    ),
+    (
+        -1.5083686683859693e-07, 3.451523827064601e-06, -3.163079970682538e-05,
+        0.00018477881939289544, -0.0008212214504547484, 0.00262077286534659,
+    ),
 )
 
-# C_k(p) = sum over (d, w) of w Psi^(d)(p), k = 0..4 (Gabcke)
-_PI2 = math.pi**2
-_C_TERMS = (
-    ((0, 1.0),),
-    ((3, -1.0 / (96.0 * _PI2)),),
-    ((2, 1.0 / (64.0 * _PI2)), (6, 1.0 / (18432.0 * _PI2**2))),
-    (
-        (1, -1.0 / (64.0 * _PI2)),
-        (5, -1.0 / (3840.0 * _PI2**2)),
-        (9, -1.0 / (5308416.0 * _PI2**3)),
-    ),
-    (
-        (0, 1.0 / (128.0 * _PI2)),
-        (4, 19.0 / (24576.0 * _PI2**2)),
-        (8, 11.0 / (5898240.0 * _PI2**3)),
-        (12, 1.0 / (2038431744.0 * _PI2**4)),
-    ),
-)
-_C_ORDER = 12  # highest Psi derivative in any C_k
+# correction_terms: the truncation after C_K is estimated by C_(K+1)..C_12
+# at their largest over p, with a = N, and kept under _TRUNCATION, 10x below
+# Euler-Maclaurin's roundoff on Z. From N = 40 (t >= 10053) up K stays 4,
+# as it was above 1e4: Z is then off by up to 6.5e-14 (measured against
+# mpmath on [10053, 11000]), and those heights keep their cost. N = 39
+# starts at t = 9557, where C_4 alone leaves 1.3e-13, so it takes K from
+# the estimate.
+_TRUNCATION = 1e-16
+_K_MIN = 4
+_N_K_MIN = 40
 
 # theta(t) = (t/2) log(t / 2 pi) - t/2 - pi/8 + sum_k b_k t^(1-2k), with
 # b_k = (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)); the next term, 127/(430080 t^7),
-# is below 1e-28 for t >= 1e4
+# is below 1e-24 for t >= 1e3
 _THETA_STIRLING = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0)
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459"
@@ -135,51 +206,77 @@ def _binomial_series(alpha: float, m: int) -> list[float]:
     return [_falling(alpha, r) / math.factorial(r) for r in range(m + 1)]
 
 
-def _psi_derivative_table() -> np.ndarray:
-    """B[e, j]: Psi^(e)(1/2 + x) = sum_j B[e, j] y^j, times x for odd e,
-    with y = x^2, for e = 0..12 + 9."""
-    tab = np.zeros((_C_ORDER + _M_CAP + 1, len(_PSI_COEFFS)))
-    for e in range(tab.shape[0]):
-        for i, c in enumerate(_PSI_COEFFS):
-            if 2 * i >= e:
-                tab[e, i - (e + 1) // 2] = c * float(math.perm(2 * i, e))
-    return tab
+def _series_derivatives(n_c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """G[(k, r), j] and the rows' parity: C_k^(r)(1/2 + x) = sum_j G[(k, r),
+    j] y^j, times x in the odd rows, with y = x^2, for k < n_c and r <= m;
+    rows run k-major."""
+    width = max(len(c) for c in _C_SERIES)
+    g = np.zeros((n_c * (m + 1), width))
+    for k in range(n_c):
+        for r in range(m + 1):
+            for i, c in enumerate(_C_SERIES[k]):
+                e = 2 * i + k % 2
+                if e >= r:
+                    g[k * (m + 1) + r, (e - r) // 2] = c * float(math.perm(e, r))
+    odd = np.array([(k + r) % 2 == 1 for k in range(n_c) for r in range(m + 1)])
+    return g, odd
 
 
-def _c_derivative_table() -> np.ndarray:
-    """W[k, r, e]: C_k^(r) = sum_e W[k, r, e] Psi^(e), for r = 0..9."""
-    tab = np.zeros((len(_C_TERMS), _M_CAP + 1, _C_ORDER + _M_CAP + 1))
-    for k, terms in enumerate(_C_TERMS):
-        for r in range(_M_CAP + 1):
-            for d, w in terms:
-                tab[k, r, d + r] = w
-    return tab
-
-
-def _remainder_tensor() -> np.ndarray:
-    """T[k, r, l] / r!: the coefficient of u^l in (1 + u)^(-1/4 - k/2)
-    times ((1 + u)^(1/2) - 1)^r, divided by r!, for k = 0..4 and
-    r, l = 0..9."""
-    m1 = _M_CAP + 1
-    half = _binomial_series(0.5, _M_CAP)
+def _remainder_tensor(n_c: int, m: int) -> np.ndarray:
+    """T[(k, r), l]: the coefficient of u^l in (1 + u)^(-1/4 - k/2) times
+    ((1 + u)^(1/2) - 1)^r, divided by r!, for k < n_c and r, l <= m."""
+    m1 = m + 1
+    half = _binomial_series(0.5, m)
     half[0] = 0.0
-    powers = [[1.0] + [0.0] * _M_CAP]
-    for _ in range(_M_CAP):
+    powers = [[1.0] + [0.0] * m]
+    for _ in range(m):
         prev = powers[-1]
         powers.append([sum(prev[i] * half[l - i] for i in range(l + 1)) for l in range(m1)])
-    out = np.zeros((len(_C_TERMS), m1, m1))
-    for k in range(len(_C_TERMS)):
-        beta = _binomial_series(-0.25 - 0.5 * k, _M_CAP)
+    out = np.zeros((n_c, m1, m1))
+    for k in range(n_c):
+        beta = _binomial_series(-0.25 - 0.5 * k, m)
         for r in range(m1):
             for l in range(m1):
                 out[k, r, l] = sum(beta[i] * powers[r][l - i] for i in range(l + 1))
             out[k, r] /= math.factorial(r)
-    return out
+    return out.reshape(n_c * m1, m1)
 
 
-_PSI_TABLE = _psi_derivative_table()
-_C_TABLE = _c_derivative_table()
-_REMAINDER = _remainder_tensor()
+@lru_cache(maxsize=None)
+def _remainder_table(n_c: int, m: int):
+    """The remainder's tables for C_0..C_(n_c - 1) and jets of order m,
+    folded once: _series_derivatives, the exponent r - 1/2 - k of a in each
+    row, and _remainder_tensor."""
+    g, odd = _series_derivatives(n_c, m)
+    expo = (np.arange(m + 1)[None, :] - 0.5 - np.arange(n_c)[:, None]).ravel()
+    tables = (g, odd, expo, _remainder_tensor(n_c, m))
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
+
+
+def _c_max() -> np.ndarray:
+    """max |C_k(p)| over p in [0, 1], k = 0..12, on a grid of 1001 points."""
+    x = np.linspace(-0.5, 0.5, 1001)
+    return np.array(
+        [np.abs(x ** (k % 2) * np.polyval(c[::-1], x * x)).max() for k, c in enumerate(_C_SERIES)]
+    )
+
+
+@lru_cache(maxsize=None)
+def correction_terms(n_terms: int) -> int:
+    """K, the last Gabcke term C_K kept for truncation N = n_terms: 4 from
+    N = 40 up, else the fewest (at least 4) whose omitted terms, each at its
+    largest (on the stored series) times N^(-1/2-k), sum below 1e-16: K = 9
+    at N = 12 (t >= 905), 8 at N = 13..16, 7 at N = 17..29 and 6 at
+    N = 30..39."""
+    if n_terms >= _N_K_MIN:
+        return _K_MIN
+    terms = _c_max() * float(n_terms) ** (-0.5 - np.arange(len(_C_SERIES)))
+    k = _K_MIN
+    while terms[k + 1 :].sum() > _TRUNCATION:
+        k += 1
+    return k
 
 
 # N at the height cap: the main sums need log n for n <= 89
@@ -215,13 +312,88 @@ def _log_turns() -> np.ndarray:
     return tab
 
 
-# a miss costs ~70 us (a decimal log); a width-2 window needs 3 values of n
-@lru_cache(maxsize=4096)
-def _theta_turns(n: int) -> tuple[float, float, float]:
-    """(log(n / 2 pi) - 1) / 2 pi, split by _split_turns."""
+# Double-double arithmetic (Dekker 1971) on arrays: a value is a pair (hi,
+# lo) with |lo| <= ulp(hi) / 2, good to ~1e-32 relative.
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(xh, xl, yh, yl):
+    p, e = _two_prod(xh, yh)
+    return _two_sum(p, e + (xh * yl + xl * yh))
+
+
+def _dd_add(xh, xl, yh, yl):
+    s, e = _two_sum(xh, yh)
+    return _two_sum(s, e + (xl + yl))
+
+
+def _dd(v: Decimal) -> tuple[float, float]:
+    hi = float(v)
+    return hi, float(v - Decimal(hi))
+
+
+# theta_reduced takes (log(n / 2 pi) - 1) / 2 pi for n = rint(t) from a
+# table filled one block of _THETA_BLOCK values of n at a time; the height
+# cap bounds it at 196 blocks, 1.2 MB
+_THETA_BLOCK = 256
+# atanh(z) = z sum_i z^(2i) / (2i + 1); 15 terms reach 1e-33 for the
+# |z| <= 128 / 1664 of the blocks from n = 768 up
+_ATANH_TERMS = 15
+
+
+@lru_cache(maxsize=None)
+def _theta_block(b: int) -> np.ndarray:
+    """Rows v_hi, v_lo, v (split as by _split_turns) of v = (log(n / 2 pi) -
+    1) / 2 pi for n in block b, n = 256 b .. 256 b + 255 (b >= 3).
+
+    One 40-digit decimal anchor at the block's centre n_0, then, in
+    double-double, v(n) = v(n_0) + atanh(z) / pi with z = (n - n_0) / (n +
+    n_0), since log n - log n_0 = 2 atanh(z). The splits equal those of the
+    40-digit decimal values (tested)."""
+    n0 = _THETA_BLOCK * b + _THETA_BLOCK // 2
     with localcontext() as ctx:
         ctx.prec = 40
-        return _split_turns(((Decimal(n) / _two_pi()).ln() - 1) / _two_pi())
+        anchor = _dd(((Decimal(n0) / _two_pi()).ln() - 1) / _two_pi())
+        inv_pi = _dd(1 / Decimal(_PI_DIGITS))
+        coef = [_dd(Decimal(1) / (2 * i + 1)) for i in range(_ATANH_TERMS)]
+    d = np.arange(_THETA_BLOCK, dtype=float) - _THETA_BLOCK // 2
+    s = d + 2.0 * n0
+    # z = d / s to double-double
+    zh = d / s
+    p, e = _two_prod(zh, s)
+    z = _two_sum(zh, ((d - p) - e) / s)
+    w = _dd_mul(*z, *z)
+    acc = coef[-1]
+    for c in reversed(coef[:-1]):
+        acc = _dd_add(*_dd_mul(*acc, *w), *c)
+    vh, vl = _dd_add(*anchor, *_dd_mul(*_dd_mul(*z, *acc), *inv_pi))
+    v_hi = np.rint(vh * 2.0**29) / 2.0**29
+    tab = np.array([v_hi, (vh - v_hi) + vl, vh])
+    tab.flags.writeable = False
+    return tab
+
+
+def _theta_turns(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v_hi, v_lo, v) of (log(n / 2 pi) - 1) / 2 pi for integers n >= 768
+    given as doubles, by _theta_block."""
+    idx = n.astype(int)
+    block = idx // _THETA_BLOCK
+    out = np.empty((3, idx.size))
+    for b in np.unique(block).tolist():
+        sel = block == b
+        out[:, sel] = _theta_block(b)[:, idx[sel] - _THETA_BLOCK * b]
+    return out[0], out[1], out[2]
 
 
 def theta_reduced(t: np.ndarray) -> np.ndarray:
@@ -233,8 +405,7 @@ def theta_reduced(t: np.ndarray) -> np.ndarray:
     radians, joins its small part before the one scaling by 2 pi."""
     t = np.asarray(t, dtype=float)
     n = np.rint(t)
-    v_hi, v_lo, v = np.array([_theta_turns(int(k)) for k in n.tolist()]).reshape(-1, 3).T
-    x, corr = _reduce_turns(0.5 * t, v_hi, v_lo, v)
+    x, corr = _reduce_turns(0.5 * t, *_theta_turns(n))
     small = 0.5 * t * np.log1p((t - n) / n) - math.pi / 8.0
     for k, b in enumerate(_THETA_STIRLING, start=1):
         small += b * t ** (1 - 2 * k)
@@ -254,16 +425,6 @@ def theta_derivatives(t: np.ndarray, m: int) -> np.ndarray:
         for k, b in enumerate(_THETA_STIRLING, start=1):
             col = col + (b * _falling(1 - 2 * k, r)) * t ** (1 - 2 * k - r)
         out[:, r - 1] = col
-    return out
-
-
-def psi_derivatives(p: np.ndarray, e_max: int) -> np.ndarray:
-    """Psi^(e)(p) for e = 0..e_max <= 21, shape (P, e_max + 1), from the
-    degree-72 Taylor series about p = 1/2."""
-    x = np.asarray(p, dtype=float) - 0.5
-    ypow = (x * x)[:, None] ** np.arange(len(_PSI_COEFFS))
-    out = np.sum(ypow[:, None, :] * _PSI_TABLE[None, : e_max + 1], axis=2)
-    out[:, 1::2] *= x[:, None]
     return out
 
 
@@ -297,35 +458,35 @@ def _main_sum(t: np.ndarray, n_terms: int, m: int, dtheta: np.ndarray) -> np.nda
 
 
 def _remainder(t: np.ndarray, a: np.ndarray, n_terms: int, m: int) -> np.ndarray:
-    """Taylor coefficients in h of (-1)^(N-1) sum_k C_k(p) a^(-1/2-k) at
-    t + h, with p = a - N, shape (P, m+1), for one N.
+    """Taylor coefficients in h of (-1)^(N-1) sum_{k<=K} C_k(p) a^(-1/2-k)
+    at t + h, with p = a - N and K = correction_terms(N), shape (P, m+1),
+    for one N.
 
     With u = h/t, p(t + h) - p = a ((1 + u)^(1/2) - 1) and
     a(t + h)^(-1/2-k) = a^(-1/2-k) (1 + u)^(-1/4-k/2), so the coefficient
-    of h^l is t^-l sum_{k,r} C_k^(r)(p) a^(r-1/2-k) T[k, r, l] / r!."""
-    m1 = m + 1
-    n_c = len(_C_TERMS)
-    psi = psi_derivatives(a - n_terms, _C_ORDER + m)
-    ctab = _C_TABLE[:, :m1, : _C_ORDER + m1].reshape(n_c * m1, -1)
-    v = np.sum(psi[:, None, :] * ctab[None], axis=2)
-    expo = (np.arange(m1)[None, :] - 0.5 - np.arange(n_c)[:, None]).ravel()
+    of h^l is t^-l sum_{k,r} C_k^(r)(p) a^(r-1/2-k) T[k, r, l] / r!. Both
+    contractions are einsums over each point's own row, so a point's bits do
+    not depend on the batch (a BLAS product would not promise that)."""
+    g, odd, expo, tensor = _remainder_table(correction_terms(n_terms) + 1, m)
+    x = a - n_terms - 0.5
+    v = np.einsum("pj,qj->pq", (x * x)[:, None] ** np.arange(g.shape[1]), g)
+    v[:, odd] *= x[:, None]
     v *= a[:, None] ** expo
-    tensor = _REMAINDER[:, :m1, :m1].reshape(n_c * m1, m1).T
-    out = np.sum(v[:, None, :] * tensor[None], axis=2)
-    out *= t[:, None] ** -np.arange(m1, dtype=float)
+    out = np.einsum("pq,ql->pl", v, tensor)
+    out *= t[:, None] ** -np.arange(m + 1, dtype=float)
     return out if n_terms % 2 else -out
 
 
-# rows of one chunk: the (rows, 22, 37) Psi temporaries stay below 4 MB
+# rows of one chunk: the (rows, N) main-sum temporaries stay small
 _CHUNK_ROWS = 512
 
 
 def rs_z_jets(t: np.ndarray, m: int) -> np.ndarray:
     """Z^(r)(t) for r = 0..m <= 9, shape (P, m+1), for critical-line heights
-    1e4 <= t <= T_CAP (below 1e4 the truncation after C_4 costs more than
-    1e-12). Points are grouped by N = floor(sqrt(t / 2 pi)), which sets both
-    the length of the main sum and the sign of the remainder, and p = a - N
-    is taken from the same a."""
+    1e3 <= t <= T_CAP (theta's Stirling tail and its anchors hold from
+    there). Points are grouped by N = floor(sqrt(t / 2 pi)), which sets the
+    length of the main sum, the number of remainder terms and the sign of
+    the remainder, and p = a - N is taken from the same a."""
     if not (0 <= m <= _M_CAP):
         raise DomainError(f"jet order m={m} outside 0..{_M_CAP}")
     t = np.ascontiguousarray(np.asarray(t, dtype=float).ravel())

@@ -43,12 +43,13 @@ The bound the tests check is 1e-11 * max(max_d |zeta^(d)(s)|, 1)
 (tests/test_zetacore.py, test_jets_match_mpmath and test_conjugate_symmetry).
 
 Which points these jets serve: every point off the critical line, and on
-the line the heights below 1e4. From t = 1e4 up hardyz takes Z^(j) on the
+the line the heights below 1e3. From t = 1e3 up hardyz takes Z^(j) on the
 line from the Riemann-Siegel jets (riemann_siegel), which need
 floor(sqrt(t / 2 pi)) <= 89 terms where these need N ~ (0.5 + 0.05 mu) t;
-cut after the remainder term C_4 they are off from mpmath by 8.5e-12 near
-t = 2000 but 1.2e-13 on [9e3, 1.1e4] (hardyz._RS_MIN_T). The longdouble
-path therefore no longer runs on the line above 1e4.
+with the remainder through C_9..C_6 below t = 10053 they are within
+3.0e-15 of mpmath for Z and Z' on [1e3, 1e4], where these jets are within
+1.0e-14 (hardyz._RS_MIN_T). The longdouble path therefore no longer runs
+on the line above 1e3.
 
 The Stieltjes constants c_0..c_17 are literals: mpmath's values rounded
 to double.

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hzml.chiomega import (
     chi,
     chi_many,
-    chi_one_minus_s_stirling,
     log_gamma,
     omega_jets,
     phase_theta,
@@ -145,19 +144,6 @@ def test_chi_phase_theta_link():
 def test_chi_pole_guard():
     with pytest.raises(PoleProximityError):
         chi(1.0 + 1e-8j)
-
-
-def test_chi_stirling_proxy_converges():
-    rel = []
-    for t in (50.0, 500.0):
-        s = 0.3 + 1j * t
-        exact = chi(1.0 - s)
-        approx = chi_one_minus_s_stirling(s)
-        rel.append(abs(exact - approx) / abs(exact))
-    assert rel[0] < 0.05
-    assert rel[1] < rel[0]
-    with pytest.raises(DomainError):
-        chi_one_minus_s_stirling(0.5 + 0.5j)
 
 
 @given(

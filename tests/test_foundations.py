@@ -107,7 +107,6 @@ def test_error_taxonomy():
     assert issubclass(DomainError, ValueError)
     assert issubclass(NumericalAlarm, RuntimeError)
     from hzml.errors import (
-        AccuracyError,
         BranchError,
         CompletenessAlarm,
         ConvergenceError,
@@ -116,7 +115,6 @@ def test_error_taxonomy():
     )
 
     for alarm in (
-        AccuracyError,
         BranchError,
         CompletenessAlarm,
         ConvergenceError,
