@@ -20,13 +20,12 @@ def main() -> None:
         "--heights", type=float, nargs="+", default=[500.0, 1000.0, 2000.0]
     )
     ap.add_argument("--density", type=int, default=6)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     print(f"# discrete moment of Z^({args.j}) over zeros of Z^({args.k})")
     print(f"{'T':>8} {'n_zeros':>8} {'measured':>16} {'predicted':>16} {'ratio':>8}")
     for T in args.heights:
-        rep = moment_report(args.j, args.k, T, args.density, args.workers)
+        rep = moment_report(args.j, args.k, T, args.density)
         print(
             f"{T:8.0f} {rep.n_zeros_used:8d} {rep.measured:16.6f} "
             f"{rep.predicted:16.6f} {rep.ratio:8.4f}"

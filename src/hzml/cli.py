@@ -3,8 +3,10 @@
 Subcommands: theta-roots, zeros, moment (alias verify), cmoment, coeff,
 identities. Reports are JSON by default (top-level "schema": "1", every float
 at 17 significant digits); `zeros --csv` emits the zeros table instead.
-Output is byte-identical across runs and worker counts: no timestamps, no
-environment echoes, deterministic numerics underneath.
+Output is byte-identical across runs: no timestamps, no environment echoes,
+deterministic numerics underneath. How a batch is threaded is decided by
+hardyz.map_chunks alone and cannot change a bit; `--workers N` is still
+accepted (a positive int) and has no effect.
 
 Exit codes: 0 success, 2 validation error (bad flags or domain
 preconditions), 3 numerical alarm (census failure, branch error,
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .coeffs import breakdown, identity_sweep
@@ -101,7 +102,7 @@ def _cmd_theta_roots(args) -> dict:
 
 
 def _cmd_zeros(args):
-    zl = find_zeros(args.k, args.t_min, args.t_max, args.density, args.workers)
+    zl = find_zeros(args.k, args.t_min, args.t_max, args.density)
     if args.csv:
         lines = ["index,gamma,bracket_width"]
         for i, (z, w) in enumerate(zip(zl.zeros, zl.bracket_widths)):
@@ -121,7 +122,7 @@ def _cmd_zeros(args):
 
 
 def _cmd_moment(args) -> dict:
-    r = moment_report(args.j, args.k, args.t_max, args.density, args.workers)
+    r = moment_report(args.j, args.k, args.t_max, args.density)
     return {
         "schema": "1",
         "command": args.command,
@@ -142,7 +143,7 @@ def _cmd_cmoment(args) -> dict:
     # both sides validate their arguments before the integral runs
     _check_quadrature_args(args.j, args.t_max, args.tol)
     hall = hall_prediction(args.j, args.t_max)
-    q = quadrature_report(args.j, args.t_max, args.workers, args.tol)
+    q = quadrature_report(args.j, args.t_max, args.tol)
     return {
         "schema": "1",
         "command": "cmoment",
@@ -214,14 +215,6 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("HZML_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hzml",
@@ -231,12 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--csv", action="store_true", help="CSV table (zeros only)")
     common.add_argument("--out", metavar="PATH", help="write report to a file")
-    common.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=_default_workers(),
-        help="worker threads (default: HZML_WORKERS or 1)",
-    )
+    # accepted for old command lines; threading is chosen per batch
+    common.add_argument("--workers", type=_positive_int, help=argparse.SUPPRESS)
 
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ImaginaryLeakError
-from .hardyz import script_zk_root, window_log
+from .hardyz import window_log
 from .thetaroots import exact_power_sums, trunc_exp_roots, z_from_theta
 
 J_CAP = 12
@@ -87,22 +87,12 @@ def _rational_terms(j: int, k: int) -> tuple[Fraction, Fraction, Fraction, Fract
     return q_delta, q_cg, q_u, q_p
 
 
-def _exp_term_sum(
-    j: int, k: int, T: float, mode: str, refined_roots: bool
-) -> float:
-    """sum_g x_g theta_g^{-(2j+2)} E_j(theta_g)^2 with the conjugate check."""
+def _exp_term_sum(j: int, k: int) -> float:
+    """sum_g x_g theta_g^{-(2j+2)} E_j(theta_g)^2 with the conjugate check;
+    x_g = e^{-2 theta_g} in both modes."""
     ts = trunc_exp_roots(k)
     roots = np.array(ts.roots)
-    if mode == "asymptotic" or not refined_roots:
-        factors = np.array(ts.exp_factors)
-    else:
-        ratio = T / (2.0 * math.pi)
-        factors = np.array(
-            [
-                ratio ** (script_zk_root(k, T, z_from_theta(th, T)) - 1.0)
-                for th in ts.roots
-            ]
-        )
+    factors = np.array(ts.exp_factors)
     ej = ts.partial_sums(j)
     acc = complex(np.sum(factors * roots ** (-(2 * j + 2)) * ej * ej))
     if abs(acc.imag) > 1e-9 * (1.0 + abs(acc.real)):
@@ -117,14 +107,11 @@ def breakdown(
     k: int,
     T: float | None = None,
     mode: str = "finite",
-    refined_roots: bool = False,
 ) -> CoefficientBreakdown:
     """Five-term prediction at (j, k).
 
     Finite mode needs T >= 100; asymptotic mode defaults T to 1e6 for the
-    term/total scaling while per_TL stays T-free. refined_roots swaps the
-    first-order z_g for the Newton-refined zeros (finite mode only), a
-    sensitivity knob rather than part of the headline formula.
+    term/total scaling while per_TL stays T-free.
     """
     if mode not in ("finite", "asymptotic"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -145,7 +132,7 @@ def breakdown(
         d_exp = 0.0  # E_k(theta_g) = 0 by the defining equation when j = k
     else:
         coef = (-1) ** j * math.factorial(j) ** 2 / 2 ** (2 * j + 2)
-        d_exp = coef * _exp_term_sum(j, k, T, mode, refined_roots) / math.pi
+        d_exp = coef * _exp_term_sum(j, k) / math.pi
 
     term_delta = float(q_delta) / math.pi * scale
     term_cg = float(q_cg) / math.pi * scale

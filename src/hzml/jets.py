@@ -8,7 +8,8 @@ convolution loops run over numpy vectors of points.
 
 The reductions are elementwise or per-column, never BLAS matmuls, so each
 point's result depends only on that point: batches can be split arbitrarily
-across workers without changing a single bit of output.
+(hardyz.map_chunks threads large Euler-Maclaurin batches in chunks) without
+changing a single bit of output.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ prediction side is Hall's
 with W_g(v) = sum_i (-1)^i (g!/(g-i)!) v^{g-i} and Stieltjes constants
 c_n.
 
-Everything here is bit-deterministic for any worker count: grids and
+Everything here is bit-deterministic for any batch split: grids and
 panels are built sequentially, each point's value depends only on the
 point, each zero's refinement depends only on its own bracket, and merges
 happen in fixed ascending order.
@@ -100,6 +100,10 @@ _MAX_REFINE_ROUNDS = 14
 # fits, while a tol that no panel can meet stops here instead of doubling
 # the panel count (and the memory) 14 times.
 _MAX_PANELS = 1 << 18
+# Bound on the points of one zero scan, checked before the grid is built:
+# density 48, the census's deepest doubling from the default 6, needs
+# ~3.4M points at T_CAP.
+_MAX_SCAN_POINTS = 1 << 22
 HALL_G_CAP = 20
 
 
@@ -181,7 +185,7 @@ def _final_bracket(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _refine(k, lo, hi, flo, fhi, workers) -> tuple[np.ndarray, np.ndarray]:
+def _refine(k, lo, hi, flo, fhi) -> tuple[np.ndarray, np.ndarray]:
     """Zeros and bracket widths for the sign-change brackets [lo, hi] of
     Z^(k), whose scan values are flo and fhi.
 
@@ -207,7 +211,7 @@ def _refine(k, lo, hi, flo, fhi, workers) -> tuple[np.ndarray, np.ndarray]:
     stopped = active[:0]
     while active.size:
         xa = x[active]
-        f, fp = z_pair_many(xa, k, workers=workers)
+        f, fp = z_pair_many(xa, k)
         same = np.sign(f) == sgn[active]
         lo[active] = np.where(same | (f == 0.0), xa, lo[active])
         hi[active] = np.where(same, hi[active], xa)
@@ -233,7 +237,7 @@ def _refine(k, lo, hi, flo, fhi, workers) -> tuple[np.ndarray, np.ndarray]:
         if active.size == 0 and stopped.size:
             pts, stopped = stopped, stopped[:0]
             a, b = _final_bracket(x[pts])
-            v = z_deriv_many(np.concatenate([a, b]), k, workers=workers)
+            v = z_deriv_many(np.concatenate([a, b]), k)
             va, vb = v[: pts.size], v[pts.size :]
             ok = (va * vb < 0.0) | (va == 0.0) | (vb == 0.0)
             zeros[pts[ok]] = 0.5 * (a[ok] + b[ok])
@@ -251,21 +255,24 @@ def _check_scan_args(k: int, t_lo: float, t_hi: float, density: int) -> None:
         raise DomainError(f"need 2 <= t_lo < t_hi <= {T_CAP}")
     if density < 4:
         raise DomainError("density must be >= 4")
+    # the grid step 2 pi / (log * density) is smallest at t_hi, so this
+    # bounds the grid's length from above
+    points = density * _local_gap_log(t_hi) * (t_hi - t_lo) / (2.0 * math.pi)
+    if points > _MAX_SCAN_POINTS:
+        raise DomainError(
+            f"density {density} needs ~{points:.3g} scan points, above the bound "
+            f"{_MAX_SCAN_POINTS}"
+        )
 
 
-def find_zeros(
-    k: int,
-    t_lo: float,
-    t_hi: float,
-    density: int = 6,
-    workers: int = 1,
-) -> ZeroList:
+def find_zeros(k: int, t_lo: float, t_hi: float, density: int = 6) -> ZeroList:
     """Zeros of Z^(k) on [t_lo, t_hi]: a sign scan at `density` points per
     expected gap, then safeguarded Newton inside each sign-change bracket.
 
     Every zero is the midpoint of a bracket of width at most 1e-9 across
     which z_deriv_many(., k) changes sign (width 0 where a scan point is an
-    exact zero). The scan misses pairs of zeros closer than its step.
+    exact zero). The scan misses pairs of zeros closer than its step. A
+    density whose grid would exceed 2^22 points raises DomainError.
     """
     _check_scan_args(k, t_lo, t_hi, density)
 
@@ -275,13 +282,11 @@ def find_zeros(
         t += 2.0 * math.pi / (_local_gap_log(t) * density)
         grid.append(min(t, t_hi))
     pts = np.array(grid)
-    vals = z_deriv_many(pts, k, workers=workers)
+    vals = z_deriv_many(pts, k)
 
     exact_hits = [float(pts[i]) for i in np.nonzero(vals == 0.0)[0]]
     flip = np.nonzero((vals[:-1] * vals[1:]) < 0.0)[0]
-    zeros, widths = _refine(
-        k, pts[flip], pts[flip + 1], vals[flip], vals[flip + 1], workers
-    )
+    zeros, widths = _refine(k, pts[flip], pts[flip + 1], vals[flip], vals[flip + 1])
 
     found = list(zip(zeros, widths))
     found.extend((z, 0.0) for z in exact_hits)
@@ -305,14 +310,12 @@ def count_bound(T: float) -> float:
     return 10.0 + 2.0 * math.log(T)
 
 
-def find_zeros_certified(
-    k: int, T: float, density: int = 6, workers: int = 1
-) -> tuple[ZeroList, float]:
+def find_zeros_certified(k: int, T: float, density: int = 6) -> tuple[ZeroList, float]:
     """Zeros of Z^(k) on (2, T] with the census guard, doubling the scan
     density up to three times before declaring the list incomplete."""
     d = density
     for _ in range(_MAX_DOUBLINGS + 1):
-        zl = find_zeros(k, 2.0, T, d, workers)
+        zl = find_zeros(k, 2.0, T, d)
         dev = count_check(zl, T)
         if abs(dev) <= count_bound(T):
             return zl, dev
@@ -323,13 +326,13 @@ def find_zeros_certified(
     )
 
 
-def discrete_moment(j: int, zl: ZeroList, workers: int = 1) -> float:
+def discrete_moment(j: int, zl: ZeroList) -> float:
     """sum over gamma in zl of Z^(j)(gamma)^2, compensated, ascending."""
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
     if not zl.zeros:
         return 0.0
-    vals = z_deriv_many(np.array(zl.zeros), j, workers=workers)
+    vals = z_deriv_many(np.array(zl.zeros), j)
     return _neumaier(v * v for v in vals)
 
 
@@ -338,7 +341,6 @@ def _panel_integrals(
     edges_hi: np.ndarray,
     j: int,
     rule,
-    workers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod value and error estimate |K - G| of Z^(j)^2 on each panel,
     for a rule (nodes, Kronrod weights, Gauss weights) whose Gauss nodes
@@ -347,18 +349,18 @@ def _panel_integrals(
     half = 0.5 * (edges_hi - edges_lo)
     mids = 0.5 * (edges_hi + edges_lo)
     pts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    vals, leak = _z_core_batch(pts, j, workers)
+    vals, leak = _z_core_batch(pts, j)
     _check_leak(leak)
     sq = (vals * vals).reshape(len(edges_lo), len(nodes))
     # fixed-length axis reductions keep panel values independent of the
-    # panel count and worker split
+    # panel count and batch split
     kronrod = half * np.sum(sq * wk[None, :], axis=1)
     gauss = half * np.sum(sq[:, 1::2] * wg[None, :], axis=1)
     return kronrod, np.abs(kronrod - gauss)
 
 
-def _z_core_batch(pts, j, workers):
-    return map_chunks(lambda c: _z_core(c, j), pts, workers)
+def _z_core_batch(pts, j):
+    return map_chunks(lambda c: _z_core(c, j), pts)
 
 
 @dataclass(frozen=True)
@@ -398,12 +400,7 @@ def _check_quadrature_args(j: int, T: float, tol: float) -> None:
         raise DomainError(f"need 0 < tol < inf, got {tol}")
 
 
-def quadrature_report(
-    j: int,
-    T: float,
-    workers: int = 1,
-    tol: float = 1e-9,
-) -> QuadratureReport:
+def quadrature_report(j: int, T: float, tol: float = 1e-9) -> QuadratureReport:
     """Integral of Z^(j)(t)^2 over [0, T], with its error estimate and
     evaluation counts.
 
@@ -437,13 +434,13 @@ def quadrature_report(
             raise QuadratureError(
                 f"panel refinement needs {len(new_lo)} panels, above the bound {_MAX_PANELS}"
             )
-        new_value, new_err = _panel_integrals(new_lo, new_hi, j, _GK15, workers)
+        new_value, new_err = _panel_integrals(new_lo, new_hi, j, _GK15)
         evaluations += new_value.size * len(_GK15[0])
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         value = np.concatenate([value, new_value])
         err = np.concatenate([err, new_err])
         # fsum rounds the exact sum once, so neither the panel order nor
-        # the worker count can change a bit
+        # the batch split can change a bit
         total = math.fsum([sliver, *value])
         estimate = math.fsum(err)
         budget = tol * abs(total)
@@ -460,16 +457,11 @@ def quadrature_report(
     )
 
 
-def continuous_moment(
-    j: int,
-    T: float,
-    workers: int = 1,
-    tol: float = 1e-9,
-) -> float:
+def continuous_moment(j: int, T: float, tol: float = 1e-9) -> float:
     """Integral of Z^(j)(t)^2 over [0, T]: the value of
-    quadrature_report(j, T, workers, tol), which documents the rule, the
-    error budget and the errors raised."""
-    return quadrature_report(j, T, workers, tol).value
+    quadrature_report(j, T, tol), which documents the rule, the error
+    budget and the errors raised."""
+    return quadrature_report(j, T, tol).value
 
 
 def hall_W(g: int, v: float) -> float:
@@ -527,13 +519,7 @@ def interlacing_report(
     return len(gaps), violations
 
 
-def moment_report(
-    j: int,
-    k: int,
-    T: float,
-    density: int = 6,
-    workers: int = 1,
-) -> MomentReport:
+def moment_report(j: int, k: int, T: float, density: int = 6) -> MomentReport:
     """Measured discrete moment against the five-term finite-T prediction."""
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
@@ -541,11 +527,9 @@ def moment_report(
     # check both before the census runs
     _check_scan_args(k, 2.0, T, density)
     predicted = breakdown(j, k, T, "finite").total
-    zl, dev = find_zeros_certified(k, T, density, workers)
+    zl, dev = find_zeros_certified(k, T, density)
     if zl.zeros:
-        vals, leak = z_deriv_many(
-            np.array(zl.zeros), j, workers=workers, return_diag=True
-        )
+        vals, leak = z_deriv_many(np.array(zl.zeros), j, return_diag=True)
         measured = _neumaier(v * v for v in vals)
     else:
         measured, leak = 0.0, 0.0

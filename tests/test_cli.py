@@ -217,13 +217,18 @@ def test_alarm_maps_to_exit_3(capsys, monkeypatch):
     assert diag["schema"] == "1"
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("HZML_WORKERS", "5")
-    args = build_parser().parse_args(["zeros", "--k", "0", "--t-max", "3"])
-    assert args.workers == 5
-    monkeypatch.setenv("HZML_WORKERS", "junk")
-    args = build_parser().parse_args(["zeros", "--k", "0", "--t-max", "3"])
-    assert args.workers == 1
+def test_workers_flag_is_validated_and_hidden(capsys):
+    # --workers still parses for old command lines, as a positive int, and
+    # no help text offers it
+    args = build_parser().parse_args(["zeros", "--k", "0", "--t-max", "3", "--workers", "3"])
+    assert args.workers == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--k", "0", "--t-max", "3", "--workers", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["zeros", "--help"])
+    assert "--workers" not in capsys.readouterr().out
 
 
 def test_float_formatting():

@@ -91,15 +91,6 @@ def test_breakdown_domain():
         breakdown(1, 2, 1000.0, "other")
 
 
-def test_refined_roots_is_a_sensitivity_knob():
-    base = breakdown(1, 2, 1.0e6, "finite")
-    refined = breakdown(1, 2, 1.0e6, "finite", refined_roots=True)
-    assert math.isfinite(refined.term_exp)
-    # exponential sensitivity: O(1/L^2) root motion moves the exp factors
-    # by e^(L * O(1/L^2)), far beyond any rounding effect
-    assert abs(refined.term_exp - base.term_exp) > 0.1 * abs(base.term_exp)
-
-
 def test_combi_sum_exact_zero_gaps():
     for j in range(13):
         for u in range(j + 1):

@@ -269,10 +269,63 @@ def test_z_deriv_many_empty():
 
 
 def test_z_deriv_many_worker_determinism():
+    # the pool splits a batch into 4 chunks per thread; any such split, and
+    # the reversed batch, gives the same bits
     t = np.linspace(100.0, 300.0, 1200)
     base = z_deriv_many(t, 1)
-    for workers in (3, 8):
-        assert np.array_equal(z_deriv_many(t, 1, workers=workers), base)
+    for n in (3, 8, 32):
+        parts = [z_deriv_many(c, 1) for c in np.array_split(t, n)]
+        assert np.array_equal(np.concatenate(parts), base), n
+    assert np.array_equal(z_deriv_many(t[::-1], 1)[::-1], base)
+
+
+def test_pool_matches_sequential_bitwise(monkeypatch):
+    # 3 threads forced, so a 1-CPU runner covers the pool too: batches over
+    # the EM threshold (the quadrature to 700 evaluates ~12,400 points in
+    # its first round) give the sequential bits
+    import concurrent.futures
+
+    import hzml.hardyz as hz
+    from hzml.moments import quadrature_report
+
+    opened = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    t = np.linspace(100.0, 990.0, hz._POOL_MIN_EM_POINTS + 100)
+    monkeypatch.setattr(hz, "_thread_count", lambda: 1)
+    seq = z_deriv_many(t, 1), z_pair_many(t, 2), quadrature_report(0, 700.0)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(hz, "_thread_count", lambda: 3)
+    assert np.array_equal(z_deriv_many(t, 1), seq[0])
+    assert np.array_equal(np.stack(z_pair_many(t, 2)), np.stack(seq[1]))
+    assert quadrature_report(0, 700.0) == seq[2]
+    assert opened[:2] == [3, 3] and len(opened) >= 3
+
+
+def test_pool_only_for_many_em_points(monkeypatch):
+    # a Riemann-Siegel batch of any size, and a batch one EM point short of
+    # the threshold, run on the calling thread
+    import concurrent.futures
+
+    import hzml.hardyz as hz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("opened a thread pool")
+
+    monkeypatch.setattr(hz, "_thread_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    n = hz._POOL_MIN_EM_POINTS
+    rs = np.linspace(1.0e3, 3.0e3, 4 * n)
+    short = np.concatenate([np.linspace(500.0, 990.0, n - 1), rs[:100]])
+    for t in (rs, short):
+        z_deriv_many(t, 0)
+        z_pair_many(t, 0)
+    with pytest.raises(AssertionError, match="thread pool"):
+        z_deriv_many(np.linspace(500.0, 990.0, n), 0)
 
 
 @given(split=st.integers(min_value=1, max_value=59))

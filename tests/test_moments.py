@@ -34,7 +34,7 @@ from hzml.moments import (
     moment_report,
     quadrature_report,
 )
-from hzml.zetacore import stieltjes
+from hzml.zetacore import T_CAP, stieltjes
 
 GAMMA_1 = 14.134725141734693
 GAMMA_2 = 21.022039638771555
@@ -144,8 +144,8 @@ def test_find_zeros_failed_check_bisects(monkeypatch):
 
     real = mo.z_pair_many
 
-    def shifted(t, k, workers=1):
-        vals, dvals = real(t, k, workers)
+    def shifted(t, k):
+        vals, dvals = real(t, k)
         return vals + 1e-7, dvals
 
     monkeypatch.setattr(mo, "z_pair_many", shifted)
@@ -191,14 +191,15 @@ def test_find_zeros_density_stability():
     assert max(abs(x - y) for x, y in zip(a.zeros, b.zeros)) <= 1e-8
 
 
-def test_find_zeros_worker_determinism():
-    # both the scan (~8,400 points) and the refinement batches (~1,300)
-    # exceed the 512-point threshold above which work goes to the pool
+def test_find_zeros_worker_determinism(pool_threads):
+    # with every batch that holds an EM point split 12 ways on the pool, the
+    # scan and every refinement round give the same zeros and brackets
+    pool_threads(1)
     base = find_zeros(1, 100.0, 2000.0)
-    for workers in (2, 3):
-        again = find_zeros(1, 100.0, 2000.0, workers=workers)
-        assert again.zeros == base.zeros
-        assert again.bracket_widths == base.bracket_widths
+    pool_threads(3)
+    again = find_zeros(1, 100.0, 2000.0)
+    assert again.zeros == base.zeros
+    assert again.bracket_widths == base.bracket_widths
 
 
 def test_find_zeros_domain():
@@ -208,6 +209,29 @@ def test_find_zeros_domain():
         find_zeros(0, 30.0, 20.0)
     with pytest.raises(DomainError):
         find_zeros(0, 10.0, 20.0, density=3)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("evaluated before the domain check")
+
+
+def test_find_zeros_rejects_scan_over_point_bound(monkeypatch):
+    # the bound is checked from the density before any grid is built. It
+    # admits density 48, the census's third doubling from 6, at T_CAP; with
+    # it lowered to 1,000, density 6 on [10, 200] (~620 points) runs and
+    # density 12 (~1,240) raises before a single Z value
+    import hzml.moments as mo
+
+    mo._check_scan_args(0, 2.0, T_CAP, 48)
+    with pytest.raises(DomainError):
+        mo._check_scan_args(0, 2.0, T_CAP, 96)
+    monkeypatch.setattr(mo, "_MAX_SCAN_POINTS", 1000)
+    assert len(find_zeros(0, 10.0, 200.0).zeros) == 79
+    monkeypatch.setattr(mo, "z_deriv_many", _never)
+    with pytest.raises(DomainError, match="scan points"):
+        find_zeros(0, 10.0, 200.0, density=12)
+    with pytest.raises(DomainError, match="scan points"):
+        moment_report(0, 1, 200.0, density=12)
 
 
 def test_census_matches_main_term():
@@ -232,10 +256,12 @@ def test_discrete_moment_monotone_in_window():
     assert 0.0 < m_short < m_long
 
 
-def test_discrete_moment_workers_bitwise():
+def test_discrete_moment_workers_bitwise(pool_threads):
     zl = find_zeros(0, 14.0, 300.0)
+    pool_threads(1)
     base = discrete_moment(1, zl)
-    assert discrete_moment(1, zl, workers=4) == base
+    pool_threads(3)
+    assert discrete_moment(1, zl) == base
 
 
 def test_continuous_moment_small_window():
@@ -252,10 +278,12 @@ def test_continuous_moment_matches_hall_j0():
     assert abs(val - pred) / pred < 0.02
 
 
-def test_continuous_moment_worker_determinism():
-    base = continuous_moment(1, 200.0)
-    assert continuous_moment(1, 200.0, workers=4) == base
-    assert quadrature_report(1, 200.0, workers=4) == quadrature_report(1, 200.0)
+def test_continuous_moment_worker_determinism(pool_threads):
+    pool_threads(1)
+    base = quadrature_report(1, 200.0)
+    pool_threads(3)
+    assert continuous_moment(1, 200.0) == base.value
+    assert quadrature_report(1, 200.0) == base
 
 
 def _monomial_integral(d):
@@ -307,9 +335,10 @@ def test_quadrature_report_one_round():
     assert continuous_moment(0, 1000.0) == rep.value
 
 
-def test_quadrature_refines_only_panels_over_their_share():
+def test_quadrature_refines_only_panels_over_their_share(pool_threads):
     # at tol 1e-12 the first round's estimate (4e-11 relative) fails; every
     # halved panel costs two new ones, so evaluations fix the split count
+    pool_threads(1)
     grid = len(_panel_grid(200.0)[0])
     coarse = quadrature_report(0, 200.0)
     fine = quadrature_report(0, 200.0, tol=1e-12)
@@ -318,7 +347,9 @@ def test_quadrature_refines_only_panels_over_their_share():
     assert fine.evaluations == 64 + 15 * (2 * fine.panels - grid)
     assert fine.error_estimate <= 1e-12 * fine.value
     assert abs(fine.value - coarse.value) <= coarse.error_estimate
-    assert quadrature_report(0, 200.0, workers=4, tol=1e-12) == fine
+    # every round's batch split 12 ways on the pool: the same report
+    pool_threads(3)
+    assert quadrature_report(0, 200.0, tol=1e-12) == fine
 
 
 def test_quadrature_sliver_only():
@@ -359,9 +390,9 @@ def test_continuous_moment_panel_bound(monkeypatch):
     seen = []
     real = mo._panel_integrals
 
-    def spy(lo, hi, j, rule, workers):
+    def spy(lo, hi, j, rule):
         seen.append(len(lo))
-        return real(lo, hi, j, rule, workers)
+        return real(lo, hi, j, rule)
 
     monkeypatch.setattr(mo, "_MAX_PANELS", 64)
     monkeypatch.setattr(mo, "_panel_integrals", spy)

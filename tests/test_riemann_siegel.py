@@ -410,7 +410,11 @@ def test_rs_batch_rows_match_single_points():
 
 
 def test_rs_worker_determinism():
+    # split into chunks as the pool would, or reversed, a batch across both
+    # crossovers (EM/RS at 1e3, K = 6/4 at 10053) gives the same bits
     t = np.concatenate([np.linspace(990.0, 1030.0, 700), np.linspace(9990.0, 10030.0, 700)])
     base = z_deriv_many(t, 1)
-    for workers in (2, 3):
-        assert np.array_equal(z_deriv_many(t, 1, workers=workers), base)
+    for n in (8, 12):
+        parts = [z_deriv_many(c, 1) for c in np.array_split(t, n)]
+        assert np.array_equal(np.concatenate(parts), base), n
+    assert np.array_equal(z_deriv_many(t[::-1], 1)[::-1], base)
