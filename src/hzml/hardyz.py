@@ -34,13 +34,16 @@ place that routes, point by point, so z_deriv_many, z_pair_many and
 everything built on them (zero scans, refinement, discrete moments, the
 quadrature) take the same evaluator at the same height. Against mpmath's
 siegelz formula (scaled 1 + |Z^(j)|) at 100 heights in [1e3, 1e4], N steps
-included, the Riemann-Siegel jets are within 3.0e-15 for j <= 1, where EM
-is within 1.0e-14, and within 9.2e-15 for j <= 4 at 20 of them (EM
-3.4e-14); from t = 10053 up, where the remainder stops at C_4, Z is off
+included, the Riemann-Siegel jets are within 3.0e-15 for j <= 1, EM
+within 2.8e-15, and within 9.2e-15 for j <= 4 at 20 of them (EM
+1.9e-14); from t = 10053 up, where the remainder stops at C_4, Z is off
 by up to 6.5e-14 near 1.06e4 and 7e-15 near 2e4. They cost 3-11 us a
 point against EM's 31 us at t = 1000 and 159 us at 9000, and theta's
-Stirling series holds from 1e3: hence the crossover at 1e3. Off the line (zk_many, fe_residual, script_zk) and below
-1e3 everything stays on EM.
+Stirling series (phase.theta_reduced) holds from 1e3: hence the crossover
+at 1e3. Off the line (zk_many, fe_residual, script_zk) and below 1e3
+everything stays on EM. Both reduce t log n mod 2 pi exactly against
+phase's one table of log n / 2 pi; EM's imaginary residue (5.5e-13 at T =
+2000) is the size of the error of its e^(i theta) (chiomega.phase_theta).
 
 The windowed companion replaces each f_{k-mu} by its leading growth
 (L/2)^{k-mu} with L = log(T / 2 pi):
@@ -65,7 +68,7 @@ from .zetacore import T_CAP, zeta_jets, zeta_jets_centred
 
 K_CAP = 8
 # Critical-line heights from here up take the Riemann-Siegel jets (see the
-# module docstring); theta_reduced and theta_derivatives hold from 1e3 up.
+# module docstring); phase's theta series hold from 1e3 up.
 _RS_MIN_T = 1.0e3
 _LEAK_BOUND = 1e-8
 # map_chunks threads a batch only from this many Euler-Maclaurin points up.

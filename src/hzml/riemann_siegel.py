@@ -23,24 +23,16 @@ included):
 
     [1e3, 1e4]               j <= 1, 100 points   j <= 4, 20 points
     Riemann-Siegel, K 9..6   3.0e-15              9.2e-15
-    Euler-Maclaurin          1.0e-14              3.4e-14
+    Euler-Maclaurin          2.8e-15              1.9e-14
 
 From t = 10053 up, where K = 4, Z is off by up to 6.5e-14 near 1.06e4 and
 7e-15 near 2e4.
 
 theta(t) and t log n enter the main sum at first order, so both are
-reduced mod 2 pi in split double (zetacore._reduce_turns, as for the
-Euler-Maclaurin phases). For theta, with n = rint(t),
-
-    theta(t) = (t/2) (log(n / 2 pi) - 1) + (t/2) log1p((t - n) / n)
-               - pi/8 + 1/(48 t) + 7/(5760 t^3) + 31/(80640 t^5) + ...,
-
-where (log(n / 2 pi) - 1) / 2 pi comes in double-double from a 40-digit
-decimal anchor per 256 values of n (_theta_block), and log n / 2 pi for
-n <= 89 from 40-digit decimal logs, each split once. The same Stirling
-series, differentiated termwise, gives the jet of theta: 17-84 us a call
-for orders 1-9 at one point, where chiomega.psi_jets would take 100-570 us,
-more than the rest of the kernel.
+reduced mod 2 pi exactly (phase.theta_reduced, phase._reduce_turns), with
+log n / 2 pi from the first N rows of the one table of log n / 2 pi
+(phase._log_table) and theta's jet from its Stirling series
+(phase.theta_derivatives).
 
 C_k is entire and has the parity of k in x = p - 1/2; its Taylor series in
 x (_C_SERIES) gives every C_k^(r), r <= 9, on |x| <= 1/2. Every quantity
@@ -51,13 +43,13 @@ N, so a point's bits do not depend on the batch.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .zetacore import T_CAP, _reduce_turns, _turns_to_radians
+from .phase import _log_table, _reduce_turns, _turns_to_radians, theta_derivatives, theta_reduced
+from .zetacore import T_CAP
 
 # Taylor coefficients of C_k(1/2 + x) for k = 0..12, in x^(k mod 2), x^(2 +
 # k mod 2), ...: Arias de Reyna's terms (Math. Comp. 2011, from the Taylor
@@ -182,28 +174,13 @@ _TRUNCATION = 1e-16
 _K_MIN = 4
 _N_K_MIN = 40
 
-# theta(t) = (t/2) log(t / 2 pi) - t/2 - pi/8 + sum_k b_k t^(1-2k), with
-# b_k = (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)); the next term, 127/(430080 t^7),
-# is below 1e-24 for t >= 1e3
-_THETA_STIRLING = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0)
-
-_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459"
-
 # the jets go to order 9 = K_CAP + 1
 _M_CAP = 9
 
 
-def _falling(e: float, r: int) -> float:
-    """e (e - 1) ... (e - r + 1)."""
-    out = 1.0
-    for i in range(r):
-        out *= e - i
-    return out
-
-
 def _binomial_series(alpha: float, m: int) -> list[float]:
     """Coefficients of u^0..u^m in (1 + u)^alpha."""
-    return [_falling(alpha, r) / math.factorial(r) for r in range(m + 1)]
+    return [math.prod(alpha - i for i in range(r)) / math.factorial(r) for r in range(m + 1)]
 
 
 def _series_derivatives(n_c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,159 +256,12 @@ def correction_terms(n_terms: int) -> int:
     return k
 
 
-# N at the height cap: the main sums need log n for n <= 89
-_N_MAX = math.isqrt(int(T_CAP / (2.0 * math.pi)))
-
-
-def _split_turns(v: Decimal) -> tuple[float, float, float]:
-    """(v_hi, v_lo, v) for zetacore._reduce_turns: v rounded to a multiple
-    of 2^-29 (at most 30 bits for |v| < 2), the rest, and v rounded to
-    double, from a 40-digit decimal v."""
-    v_hi = (v * 2**29).to_integral_value() / 2**29
-    return float(v_hi), float(v - v_hi), float(v)
-
-
-def _two_pi() -> Decimal:
-    return 2 * Decimal(_PI_DIGITS)
-
-
-@lru_cache(maxsize=1)
-def _log_turns() -> np.ndarray:
-    """Rows u_hi, u_lo, u (u = log n / 2 pi, split by _split_turns) and
-    log n, for n = 1.._N_MAX, from 40-digit decimal logs. The
-    Euler-Maclaurin table rounds u to 64 bits, which leaves up to ~1e-14
-    radians in t log n at the height cap."""
-    with localcontext() as ctx:
-        ctx.prec = 40
-        rows = [
-            (*_split_turns(Decimal(n).ln() / _two_pi()), float(Decimal(n).ln()))
-            for n in range(1, _N_MAX + 1)
-        ]
-    tab = np.array(rows).T.copy()
-    tab.flags.writeable = False
-    return tab
-
-
-# Double-double arithmetic (Dekker 1971) on arrays: a value is a pair (hi,
-# lo) with |lo| <= ulp(hi) / 2, good to ~1e-32 relative.
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ca, cb = 134217729.0 * a, 134217729.0 * b
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _two_sum(p, e + (xh * yl + xl * yh))
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _two_sum(s, e + (xl + yl))
-
-
-def _dd(v: Decimal) -> tuple[float, float]:
-    hi = float(v)
-    return hi, float(v - Decimal(hi))
-
-
-# theta_reduced takes (log(n / 2 pi) - 1) / 2 pi for n = rint(t) from a
-# table filled one block of _THETA_BLOCK values of n at a time; the height
-# cap bounds it at 196 blocks, 1.2 MB
-_THETA_BLOCK = 256
-# atanh(z) = z sum_i z^(2i) / (2i + 1); 15 terms reach 1e-33 for the
-# |z| <= 128 / 1664 of the blocks from n = 768 up
-_ATANH_TERMS = 15
-
-
-@lru_cache(maxsize=None)
-def _theta_block(b: int) -> np.ndarray:
-    """Rows v_hi, v_lo, v (split as by _split_turns) of v = (log(n / 2 pi) -
-    1) / 2 pi for n in block b, n = 256 b .. 256 b + 255 (b >= 3).
-
-    One 40-digit decimal anchor at the block's centre n_0, then, in
-    double-double, v(n) = v(n_0) + atanh(z) / pi with z = (n - n_0) / (n +
-    n_0), since log n - log n_0 = 2 atanh(z). The splits equal those of the
-    40-digit decimal values (tested)."""
-    n0 = _THETA_BLOCK * b + _THETA_BLOCK // 2
-    with localcontext() as ctx:
-        ctx.prec = 40
-        anchor = _dd(((Decimal(n0) / _two_pi()).ln() - 1) / _two_pi())
-        inv_pi = _dd(1 / Decimal(_PI_DIGITS))
-        coef = [_dd(Decimal(1) / (2 * i + 1)) for i in range(_ATANH_TERMS)]
-    d = np.arange(_THETA_BLOCK, dtype=float) - _THETA_BLOCK // 2
-    s = d + 2.0 * n0
-    # z = d / s to double-double
-    zh = d / s
-    p, e = _two_prod(zh, s)
-    z = _two_sum(zh, ((d - p) - e) / s)
-    w = _dd_mul(*z, *z)
-    acc = coef[-1]
-    for c in reversed(coef[:-1]):
-        acc = _dd_add(*_dd_mul(*acc, *w), *c)
-    vh, vl = _dd_add(*anchor, *_dd_mul(*_dd_mul(*z, *acc), *inv_pi))
-    v_hi = np.rint(vh * 2.0**29) / 2.0**29
-    tab = np.array([v_hi, (vh - v_hi) + vl, vh])
-    tab.flags.writeable = False
-    return tab
-
-
-def _theta_turns(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v_hi, v_lo, v) of (log(n / 2 pi) - 1) / 2 pi for integers n >= 768
-    given as doubles, by _theta_block."""
-    idx = n.astype(int)
-    block = idx // _THETA_BLOCK
-    out = np.empty((3, idx.size))
-    for b in np.unique(block).tolist():
-        sel = block == b
-        out[:, sel] = _theta_block(b)[:, idx[sel] - _THETA_BLOCK * b]
-    return out[0], out[1], out[2]
-
-
-def theta_reduced(t: np.ndarray) -> np.ndarray:
-    """The Riemann-Siegel theta(t) mod 2 pi, in about [-pi - 1, pi + 1], for
-    1e3 <= t <= T_CAP, to a few 1e-16 radians.
-
-    (t/2) (log(n / 2 pi) - 1) with n = rint(t) is reduced exactly
-    (zetacore._reduce_turns); the rest of the Stirling series, below 0.7
-    radians, joins its small part before the one scaling by 2 pi."""
-    t = np.asarray(t, dtype=float)
-    n = np.rint(t)
-    x, corr = _reduce_turns(0.5 * t, *_theta_turns(n))
-    small = 0.5 * t * np.log1p((t - n) / n) - math.pi / 8.0
-    for k, b in enumerate(_THETA_STIRLING, start=1):
-        small += b * t ** (1 - 2 * k)
-    return _turns_to_radians(x, corr + small / (2.0 * math.pi))
-
-
-def theta_derivatives(t: np.ndarray, m: int) -> np.ndarray:
-    """theta^(r)(t) for r = 1..m, shape (P, m), from the Stirling series
-    differentiated termwise (valid for t >= 1e3)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((t.shape[0], m))
-    for r in range(1, m + 1):
-        if r == 1:
-            col = 0.5 * np.log(t / (2.0 * math.pi))
-        else:
-            col = (0.5 * (-1) ** r * math.factorial(r - 2)) * t ** (1 - r)
-        for k, b in enumerate(_THETA_STIRLING, start=1):
-            col = col + (b * _falling(1 - 2 * k, r)) * t ** (1 - 2 * k - r)
-        out[:, r - 1] = col
-    return out
-
-
 def _main_sum(t: np.ndarray, n_terms: int, m: int, dtheta: np.ndarray) -> np.ndarray:
     """Taylor coefficients in h of 2 Re[e^(i theta(t+h)) sum_{n<=N}
     n^(-1/2) e^(-i (t+h) log n)], shape (P, m+1), for one N."""
-    u_hi, u_lo, u, logn = _log_turns()[:, :n_terms]
+    tab = _log_table()
+    cols = slice(0, n_terms)
+    u_hi, u_lo, u, logn = tab.u_hi[cols], tab.u_lo[cols], tab.u[cols], tab.logn[cols]
     phase = theta_reduced(t)[:, None] - _turns_to_radians(*_reduce_turns(t[:, None], u_hi, u_lo, u))
     scale = np.exp(-0.5 * logn)
     re = np.cos(phase) * scale
@@ -479,22 +309,29 @@ def _remainder(t: np.ndarray, a: np.ndarray, n_terms: int, m: int) -> np.ndarray
 
 # rows of one chunk: the (rows, N) main-sum temporaries stay small
 _CHUNK_ROWS = 512
+# the truncations N the kernel serves: from N = 12 (t = 905), where
+# correction_terms' estimate starts, to N = 89 at the height cap
+_N_SPAN = (12, math.isqrt(int(T_CAP / (2.0 * math.pi))))
 
 
 def rs_z_jets(t: np.ndarray, m: int) -> np.ndarray:
     """Z^(r)(t) for r = 0..m <= 9, shape (P, m+1), for critical-line heights
-    1e3 <= t <= T_CAP (theta's Stirling tail and its anchors hold from
-    there). Points are grouped by N = floor(sqrt(t / 2 pi)), which sets the
-    length of the main sum, the number of remainder terms and the sign of
-    the remainder, and p = a - N is taken from the same a."""
+    1e3 <= t <= T_CAP (theta's Stirling tail holds from there). Points are
+    grouped by N = floor(sqrt(t / 2 pi)), which sets the length of the main
+    sum, the number of remainder terms and the sign of the remainder, and
+    p = a - N is taken from the same a. A group outside N = 12..89 (t below
+    905 or above 50,893, or not finite) raises DomainError."""
     if not (0 <= m <= _M_CAP):
         raise DomainError(f"jet order m={m} outside 0..{_M_CAP}")
     t = np.ascontiguousarray(np.asarray(t, dtype=float).ravel())
     a = np.sqrt(t / (2.0 * math.pi))
-    big_n = np.floor(a).astype(int)
+    big_n = np.floor(a)
+    groups = np.unique(big_n)
+    if groups.size and not (_N_SPAN[0] <= groups[0] and groups[-1] <= _N_SPAN[1]):
+        raise DomainError(f"t outside the Riemann-Siegel range (N = {_N_SPAN[0]}..{_N_SPAN[1]})")
     fact = np.array([math.factorial(r) for r in range(m + 1)], dtype=float)
     out = np.empty((t.shape[0], m + 1))
-    for n_terms in np.unique(big_n).tolist():
+    for n_terms in groups.astype(int).tolist():
         idx = np.nonzero(big_n == n_terms)[0]
         for lo in range(0, idx.size, _CHUNK_ROWS):
             rows = idx[lo : lo + _CHUNK_ROWS]

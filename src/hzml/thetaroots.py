@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ImaginaryLeakError
 from .hardyz import window_log
 
+# mpmath is imported where it is used, so `import hzml` does not load it
 K_ROOT_CAP = 40
 _MAX_SWEEPS = 500
 _POLISH_DPS = 50
@@ -85,7 +85,9 @@ class ThetaSystem:
             raise DomainError("j must be nonnegative")
         return trunc_exp(np.array(self.roots), j)
 
-    def roots_hp(self) -> list[mp.mpc]:
+    def roots_hp(self) -> list:
+        import mpmath as mp
+
         # parse at full precision regardless of the ambient mpmath context,
         # otherwise the 33-digit strings silently round to doubles
         with mp.workdps(_POLISH_DPS):
@@ -115,7 +117,9 @@ def _aberth_double(k: int) -> np.ndarray:
     raise ConvergenceError(f"Aberth sweep did not settle for k={k}")
 
 
-def _polish(k: int, z0: complex) -> mp.mpc:
+def _polish(k: int, z0: complex):
+    import mpmath as mp
+
     with mp.workdps(_POLISH_DPS):
         coeffs = [mp.mpf(1) / mp.factorial(mu) for mu in range(k + 1)]
         dcoeffs = coeffs[:-1] if k > 1 else [mp.mpf(1)]
@@ -140,6 +144,8 @@ def trunc_exp_roots(k: int) -> ThetaSystem:
     """Root system of E_k for 1 <= k <= 40, deterministically ordered."""
     if not (1 <= k <= K_ROOT_CAP):
         raise DomainError(f"k={k} outside 1..{K_ROOT_CAP}")
+    import mpmath as mp
+
     raw = _aberth_double(k)
     polished = [_polish(k, complex(z)) for z in raw]
 
@@ -155,7 +161,7 @@ def trunc_exp_roots(k: int) -> ThetaSystem:
                 f"root classification failed for k={k}: "
                 f"{len(reals)} real + 2*{len(upper)} conjugate"
             )
-        full: list[mp.mpc] = [mp.mpc(r, 0) for r in reals]
+        full = [mp.mpc(r, 0) for r in reals]
         for z in upper:
             full.append(z)
             full.append(mp.mpc(z.real, -z.imag))
@@ -193,6 +199,8 @@ def power_sum(ts: ThetaSystem, u: int) -> float:
     part below 1e-10, checked then dropped."""
     if not (1 <= u <= 2 * ts.k + 2):
         raise DomainError(f"u={u} outside 1..{2 * ts.k + 2}")
+    import mpmath as mp
+
     with mp.workdps(_POLISH_DPS):
         acc = mp.fsum(z ** (-u) for z in ts.roots_hp())
         re = float(acc.real)

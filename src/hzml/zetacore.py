@@ -18,10 +18,10 @@ and the first omitted correction term stays far below the 1e-12 absolute
 target everywhere in the strip.
 
 That target bounds the truncation remainder only, not roundoff. The phases
-t log n mod 2 pi of the Dirichlet terms come from one table of log n / 2 pi
-for every n the strip can need, built once in longdouble and split into
-hi/lo doubles, so the reduction itself is exact double arithmetic and the
-phase error is a few 1e-14 radians at the height cap (see _phase_matrix).
+t log n mod 2 pi of the Dirichlet terms are reduced exactly against the
+one table of log n / 2 pi (phase._log_table, exact double-double splits
+for every n the strip can need), so a phase is within 2.3e-16 radians in
+double, and 8e-18 on the longdouble path, at every height (_phase_matrix).
 The magnitudes, cos/sin and sums then run in double precision, except where
 the jet order and the point call for longdouble (_longdouble_points): for
 mu_max >= 5 everywhere, and for mu_max = 4 left of the critical line. The
@@ -47,9 +47,9 @@ the line the heights below 1e3. From t = 1e3 up hardyz takes Z^(j) on the
 line from the Riemann-Siegel jets (riemann_siegel), which need
 floor(sqrt(t / 2 pi)) <= 89 terms where these need N ~ (0.5 + 0.05 mu) t;
 with the remainder through C_9..C_6 below t = 10053 they are within
-3.0e-15 of mpmath for Z and Z' on [1e3, 1e4], where these jets are within
-1.0e-14 (hardyz._RS_MIN_T). The longdouble path therefore no longer runs
-on the line above 1e3.
+3.0e-15 of mpmath for Z and Z' on [1e3, 1e4], and these jets within
+2.8e-15, at a tenth of the cost or less (hardyz._RS_MIN_T). The longdouble
+path therefore no longer runs on the line above 1e3.
 
 The Stieltjes constants c_0..c_17 are literals: mpmath's values rounded
 to double.
@@ -59,13 +59,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bernoulli import bernoulli_float
 from .errors import DomainError, PoleProximityError
 from .jets import derivatives_from_jet, jet_exp_of_scalar, jet_mul, jet_mul_linear
+from .phase import _TWO_PI, _log_table, _reduce_turns, _turns_to_radians
 
 SIGMA_MIN = -1.0
 SIGMA_MAX = 2.0
@@ -76,10 +76,12 @@ POLE_RADIUS = 1e-6
 _BERNOULLI_TERMS = 12
 
 # Dirichlet rows are processed in chunks of at most this many (point, n)
-# entries, so that the chunk's real temporaries (512 KB each in double) stay
-# in a core's L2 cache: the phase, magnitude and cos/sin passes are memory
-# bound, and chunks of 4M entries made z_deriv_many ~1.4x slower per point.
-_CHUNK_ENTRIES = 65_536
+# entries: the phase, magnitude and cos/sin passes are memory bound, and the
+# chunk's real temporaries (125 KB each in double) stay in L2 and below
+# glibc's 128 KiB mmap threshold, so the heap reuses them. Chunks of 65,536
+# entries made z_deriv_many(t, 0), t in [100, 999], 1.25x slower, and of 4M
+# entries 1.4x slower.
+_CHUNK_ENTRIES = 16_000
 
 
 @dataclass(frozen=True)
@@ -124,89 +126,21 @@ def _n_terms(t_abs: float, mu_max: int) -> int:
     return 16 * ((n + 15) // 16)
 
 
-# 2 pi to longdouble precision (the decimal literal of pi carries 30 digits),
-# and as hi + lo doubles with hi a multiple of 2^-15 (18 bits), so that hi
-# times a multiple of 2^-36 below 1/2 in magnitude is exact.
-_TWO_PI_LD = np.longdouble(2) * np.longdouble("3.14159265358979323846264338328")
-_TWO_PI_HI = float(np.rint(_TWO_PI_LD * 2.0**15) / 2.0**15)
-_TWO_PI_LO = float(_TWO_PI_LD - _TWO_PI_HI)
-
-
-@dataclass(frozen=True)
-class _LogTable:
-    """u_n = log(n) / 2 pi and log(n) for n = 1..N (index n - 1), where N is
-    the largest truncation the strip can ask for (|t| = T_CAP, mu = MU_CAP).
-
-    u_hi is u rounded to a multiple of 2^-29, so with u < 2 it carries at
-    most 30 significant bits; u_lo = u - u_hi; u is u rounded to double.
-    logn is kept in longdouble for the longdouble path."""
-
-    u_hi: np.ndarray
-    u_lo: np.ndarray
-    u: np.ndarray
-    logn: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def _log_table() -> _LogTable:
-    n_max = _n_terms(T_CAP, MU_CAP)
-    logn = np.log(np.arange(1, n_max + 1, dtype=np.longdouble))
-    u = logn / _TWO_PI_LD
-    u_hi = np.rint(u * 2.0**29) / 2.0**29
-    rows = (u_hi.astype(float), (u - u_hi).astype(float), u.astype(float), logn)
-    for row in rows:
-        row.flags.writeable = False
-    return _LogTable(*rows)
-
-
-def _reduce_turns(t: np.ndarray, u_hi, u_lo, u) -> tuple[np.ndarray, np.ndarray]:
-    """t u mod 1 as (x, corr), with x + corr the reduced value in turns;
-    t broadcasts against (u_hi, u_lo, u), the split of u into a multiple of
-    2^-29 below 2 (at most 30 bits), the rest, and u rounded to double.
-
-    The reduction is exact in double arithmetic (Dekker's split): with
-    t_hi = rint(128 t)/128, at most 23 bits since |t| <= T_CAP < 2^16, the
-    product t_hi u_hi of at most 53 bits is exact, and so is x, its
-    difference from the nearest integer: a multiple of 2^-36 in [-1/2, 1/2].
-    What is left, corr = t_hi u_lo + t_lo u with t_lo = t - t_hi, is below
-    0.01 turns and carries ~1e-18 turns of roundoff."""
-    t_hi = np.rint(128.0 * t) / 128.0
-    x = t_hi * u_hi
-    x -= np.rint(x)
-    corr = t_hi * u_lo
-    corr += (t - t_hi) * u
-    return x, corr
-
-
-def _turns_to_radians(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """2 pi (x + corr) in double for x from _reduce_turns, rounded once: x times
-    2pi_hi (a multiple of 2^-15 with 18 bits) is exact, and only the small
-    rest is scaled by a rounded 2 pi. (Scaling x + corr by a double 2 pi
-    rounds twice and adds an error proportional to x; at t ~ 2000 that made
-    zeta on the line 2.5x less accurate.) Works in place: the result is x,
-    and corr is overwritten."""
-    corr *= 2.0 * math.pi
-    corr += _TWO_PI_LO * x
-    x *= _TWO_PI_HI
-    x += corr
-    return x
-
-
 def _phase_matrix(t: np.ndarray, cols: slice, fdtype) -> np.ndarray:
     """t_p * log(n) reduced mod 2 pi into [-pi, pi], shape (P, len(n)), for
     the n of the log table's columns `cols`, returned in fdtype.
 
-    The reduction (_reduce_turns) is exact; for longdouble output the parts
-    are added and scaled in longdouble. The phase error is therefore set by
-    the longdouble table, |t| * 2 pi * ~1e-19 (a few 1e-14 radians at the
-    height cap), not by the size of t log n; a double product t log n would
-    already lose ~|t log n| * 1e-16 radians."""
+    The reduction (phase._reduce_turns) is exact and the table's rows are
+    the exact splits of log n / 2 pi, so the phase error is the final
+    rounding: 2.3e-16 radians in double, and 8e-18 in longdouble, where
+    the parts are added and scaled by 2 pi in longdouble. A double product
+    t log n would already lose ~|t log n| * 1e-16 radians."""
     tab = _log_table()
     x, corr = _reduce_turns(t[:, None], tab.u_hi[cols], tab.u_lo[cols], tab.u[cols])
     if fdtype is np.longdouble:
         x = x.astype(np.longdouble)
         x += corr
-        x *= _TWO_PI_LD
+        x *= np.longdouble(_TWO_PI[0]) + _TWO_PI[1]
         return x
     return _turns_to_radians(x, corr)
 
@@ -263,9 +197,11 @@ def _em_group(
     sig = sg.real.astype(fdtype)
     sgl = sg.astype(cdtype)
 
-    # Dirichlet block sum_{n<N} n^-s, differentiated termwise.
+    # Dirichlet block sum_{n<N} n^-s, differentiated termwise. log n is
+    # logn + logn_lo, which is logn itself in double.
+    tab = _log_table()
     dirichlet = slice(0, n_terms - 1)
-    logn = _log_table().logn[dirichlet].astype(fdtype)
+    logn = tab.logn[dirichlet].astype(fdtype) + tab.logn_lo[dirichlet]
     shift = fdtype(kappa)
     weights = np.empty((m1, n_terms - 1), dtype=fdtype)
     weights[0] = 1.0
@@ -282,7 +218,7 @@ def _em_group(
             coeffs[lo:hi, a].real = np.sum(bre * weights[a][None, :], axis=1)
             coeffs[lo:hi, a].imag = np.sum(bim * weights[a][None, :], axis=1)
 
-    logN = fdtype(_log_table().logn[n_terms - 1])
+    logN = fdtype(tab.logn[n_terms - 1]) + tab.logn_lo[n_terms - 1]
     phase_n = _phase_matrix(sg.imag, slice(n_terms - 1, n_terms), fdtype)[:, 0]
     npow = np.exp(-sig * logN) * (np.cos(phase_n) - 1j * np.sin(phase_n)).astype(cdtype)
     a0 = jet_exp_of_scalar(npow, -(logN - shift), mu_max)
