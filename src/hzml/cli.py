@@ -4,9 +4,9 @@ Subcommands: theta-roots, zeros, moment (alias verify), cmoment, coeff,
 identities. Reports are JSON by default (top-level "schema": "1", every float
 at 17 significant digits); `zeros --csv` emits the zeros table instead.
 Output is byte-identical across runs: no timestamps, no environment echoes,
-deterministic numerics underneath. How a batch is threaded is decided by
-hardyz.map_chunks alone and cannot change a bit; `--workers N` is still
-accepted (a positive int) and has no effect.
+deterministic numerics underneath. Nothing is threaded. `--workers N` is
+still accepted (a positive int) and has no effect: the benchmark's
+workloads (perfbench/workloads.py) still pass it.
 
 Exit codes: 0 success, 2 validation error (bad flags or domain
 preconditions), 3 numerical alarm (census failure, branch error,
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--csv", action="store_true", help="CSV table (zeros only)")
     common.add_argument("--out", metavar="PATH", help="write report to a file")
-    # accepted for old command lines; threading is chosen per batch
+    # accepted for old command lines and perfbench/workloads.py; no effect
     common.add_argument("--workers", type=_positive_int, help=argparse.SUPPRESS)
 
     sub = ap.add_subparsers(dest="command", required=True)

@@ -24,26 +24,30 @@ On the critical line
 is real; the imaginary residue is the branch diagnostic.
 
 That is the Euler-Maclaurin (EM) path, and it does O(t) work a point. On
-the critical line from t = 1e3 (_RS_MIN_T) up, Z^(j)(t) comes instead from
-the Riemann-Siegel jets (riemann_siegel.rs_z_jets): floor(sqrt(t / 2 pi))
-<= 89 terms plus Gabcke's remainder C_0..C_K, with K = 9..6 below t =
-10053 and K = 4 above (riemann_siegel.correction_terms), in one pass for
-every order. They are real, so a residue is reported for EM points only; a
-non-finite value still reads NaN and fails the guard. _line_core is the one
-place that routes, point by point, so z_deriv_many, z_pair_many and
-everything built on them (zero scans, refinement, discrete moments, the
-quadrature) take the same evaluator at the same height. Against mpmath's
-siegelz formula (scaled 1 + |Z^(j)|) at 100 heights in [1e3, 1e4], N steps
-included, the Riemann-Siegel jets are within 3.0e-15 for j <= 1, EM
-within 2.8e-15, and within 9.2e-15 for j <= 4 at 20 of them (EM
-1.9e-14); from t = 10053 up, where the remainder stops at C_4, Z is off
-by up to 6.5e-14 near 1.06e4 and 7e-15 near 2e4. They cost 3-11 us a
-point against EM's 31 us at t = 1000 and 159 us at 9000, and theta's
-Stirling series (phase.theta_reduced) holds from 1e3: hence the crossover
-at 1e3. Off the line (zk_many, fe_residual, script_zk) and below 1e3
-everything stays on EM. Both reduce t log n mod 2 pi exactly against
-phase's one table of log n / 2 pi; EM's imaginary residue (5.5e-13 at T =
-2000) is the size of the error of its e^(i theta) (chiomega.phase_theta).
+the critical line from t = 2 pi 5^2 = 157.08 (_RS_MIN_T) up, Z^(j)(t)
+comes instead from the Riemann-Siegel jets (riemann_siegel.rs_z_jets): N =
+floor(sqrt(t / 2 pi)) = 5..89 terms plus Gabcke's remainder C_0..C_K, with
+K = 12 at N = 5 down to 5 from N = 60 (riemann_siegel.correction_terms),
+in one pass for every order. They are real, so a residue is reported for EM
+points only; a non-finite value still reads NaN and fails the guard.
+_line_core is the one place that routes, point by point, so z_deriv_many,
+z_pair_many and everything built on them (zero scans, refinement, discrete
+moments, the quadrature) take the same evaluator at the same height.
+Against mpmath's siegelz formula (scaled 1 + |Z^(j)|), N steps included,
+the Riemann-Siegel jets are within 1.4e-15 for j <= 1 at 96 heights in
+[157, 1e3] (EM 5.6e-15) and 3.0e-15 at 100 in [1e3, 1e4] (EM 2.8e-15).
+They cost 1-3 us a point against EM's 5-33 us on [157, 1e3] and 120-220
+us at 9000 (orders 0-4, batches of 3,000), and theta's Stirling series
+(phase.theta_reduced) holds from 157: hence the crossover where N first
+reaches 5. EM keeps the line below it,
+the quadrature's [0, 2] sliver, and every point off the line (zk_many,
+fe_residual, script_zk). Both reduce t log n mod 2 pi exactly against
+phase's one table of log n / 2 pi; EM's imaginary residue (5.9e-14 at T
+= 2000) is the size of the error of its e^(i theta) (chiomega.phase_theta).
+
+Nothing is threaded: every batch runs on the calling thread, and each
+point's value is a pure function of the point, so results are bitwise
+independent of how a batch is split.
 
 The windowed companion replaces each f_{k-mu} by its leading growth
 (L/2)^{k-mu} with L = log(T / 2 pi):
@@ -57,24 +61,20 @@ formulas.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .chiomega import chi_many, omega_jets, phase_theta
 from .errors import BranchError, ConvergenceError, DomainError
-from .riemann_siegel import rs_z_jets
+from .riemann_siegel import _N_SPAN, rs_z_jets
 from .zetacore import T_CAP, zeta_jets, zeta_jets_centred
 
 K_CAP = 8
 # Critical-line heights from here up take the Riemann-Siegel jets (see the
-# module docstring); phase's theta series hold from 1e3 up.
-_RS_MIN_T = 1.0e3
+# module docstring): where N = floor(sqrt(t / 2 pi)) first reaches the
+# kernel's lowest truncation, a double at which rs_z_jets already finds N = 5
+_RS_MIN_T = 2.0 * math.pi * _N_SPAN[0] ** 2
 _LEAK_BOUND = 1e-8
-# map_chunks threads a batch only from this many Euler-Maclaurin points up.
-# On 2 vCPUs two threads took 0.65-0.9x the time of one on EM batches of
-# 7,500-45,000 points, 1.1-1.3x on 2,000-7,000; RS batches never gained.
-_POOL_MIN_EM_POINTS = 8192
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
@@ -161,39 +161,6 @@ def _z_core(t: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, 0], leak
 
 
-def _thread_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def map_chunks(fn, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fn(t), where fn maps a batch of points to a tuple of per-point arrays.
-
-    The one place that decides how a batch is threaded. A batch that holds
-    at least _POOL_MIN_EM_POINTS Euler-Maclaurin heights (t < 1e3) is split
-    into 4 chunks per CPU the process may run on, run on a thread pool and
-    joined in order; every other batch runs on the calling thread. fn must
-    be pure per point, which makes the result bitwise independent of the
-    split.
-    """
-    # the EM count comes first: it is the only work a Riemann-Siegel batch
-    # pays for the decision
-    if np.count_nonzero(t < _RS_MIN_T) < _POOL_MIN_EM_POINTS:
-        return fn(t)
-    threads = _thread_count()
-    if threads < 2:
-        return fn(t)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(t, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(fn, chunks))
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
 def _line_points(t, j: int) -> np.ndarray:
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
@@ -226,7 +193,7 @@ def z_deriv_many(t: np.ndarray, j: int, return_diag: bool = False):
     non-finite value, raises BranchError.
     """
     t = _line_points(t, j)
-    vals, leak = map_chunks(lambda c: _z_core(c, j), t)
+    vals, leak = _z_core(t, j)
     max_leak = _check_leak(leak)
     if return_diag:
         return vals, max_leak
@@ -235,9 +202,9 @@ def z_deriv_many(t: np.ndarray, j: int, return_diag: bool = False):
 
 def z_pair_many(t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(Z^(k), Z^(k+1)) on a batch of critical-line heights, 0 <= k <= 8,
-    from one jet pass of order k+1: below t = 1e3 one zeta_jets_centred(s,
-    k+1) / omega_jets(s, k) / phase_theta pass, from 1e3 up one
-    rs_z_jets(t, k+1) pass.
+    from one jet pass of order k+1: below t = _RS_MIN_T one
+    zeta_jets_centred(s, k+1) / omega_jets(s, k) / phase_theta pass, from
+    there up one rs_z_jets(t, k+1) pass.
 
     The order-k values agree with z_deriv_many(t, k) to roundoff, not
     bitwise. On the EM path the jet order sets the Euler-Maclaurin length
@@ -246,7 +213,7 @@ def z_pair_many(t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     (zetacore._longdouble_points). The branch check covers both orders.
     """
     t = _line_points(t, k)
-    vals, leak = map_chunks(lambda c: _line_core(c, k, k + 1), t)
+    vals, leak = _line_core(t, k, k + 1)
     _check_leak(leak)
     return vals[:, 0], vals[:, 1]
 

@@ -47,7 +47,6 @@ from .hardyz import (
     K_CAP,
     _check_leak,
     _z_core,
-    map_chunks,
     window_log,
     z_deriv_many,
     z_pair_many,
@@ -136,7 +135,7 @@ class MomentReport:
     """The measured moment against the prediction.
 
     max_imag_leak is the largest scaled imaginary residue |Im w| / (1 + |Re w|)
-    of the Z^(j) values on the Euler-Maclaurin path (heights below 1e3). The
+    of the Z^(j) values on the Euler-Maclaurin path (heights below 157). The
     Riemann-Siegel values above are real and count as 0; a non-finite value
     on either path still fails the guard with BranchError."""
 
@@ -360,7 +359,9 @@ def _panel_integrals(
 
 
 def _z_core_batch(pts, j):
-    return map_chunks(lambda c: _z_core(c, j), pts)
+    # the quadrature's one batch of Z values a round; kept apart from _z_core
+    # as the boundary the benchmark's tracer times (perfbench/tracer.py)
+    return _z_core(pts, j)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ With a = sqrt(t / 2 pi), N = floor(a) and p = a - N,
 
 where C_k are Gabcke's remainder terms, C_0 = Psi(p) = cos 2 pi (p^2 - p -
 1/16) / cos 2 pi p (Gabcke 1979; Arias de Reyna, Math. Comp. 2011). K is
-set per N (correction_terms): 9 at N = 12 (t = 905), down to 6 at N = 39,
-and 4 from N = 40 (t = 10053) up. Both parts are carried as real jets in h
-at t + h with N held fixed, so one pass gives Z^(0..m)(t): the main sum as
+set per N (correction_terms): 12 at N = 5 (t = 157.08), down to 5 from
+N = 60 (t = 22619) up. Both parts are carried as real jets in h at t + h
+with N held fixed, so one pass gives Z^(0..m)(t): the main sum as
 2 Re[E(h) S(h)], with S_a the order-a Dirichlet weights (kappa - log n)^a /
 a! centred on kappa = theta'(t) and E(h) the jet of exp(i (theta(t + h) -
 theta(t) - kappa h)), which starts at order 2; the remainder by composing
@@ -18,15 +18,17 @@ the Taylor series of C_k at p with the binomial series of p(t + h) - p and
 a(t + h)^(-1/2-k) in h / t.
 
 Largest gap from mpmath's siegelz formula at 30 digits, scaled
-1 + |Z^(j)|, at the heights of test_rs_matches_siegelz_below_1e4 (N steps
-included):
+1 + |Z^(j)|, at the heights of test_rs_matches_siegelz_below_1e3 (96) and
+test_rs_matches_siegelz_below_1e4 (100), N steps included, for j <= 1 at
+all of them and j <= 4 at 20:
 
-    [1e3, 1e4]               j <= 1, 100 points   j <= 4, 20 points
-    Riemann-Siegel, K 9..6   3.0e-15              9.2e-15
-    Euler-Maclaurin          2.8e-15              1.9e-14
+    heights       evaluator          j <= 1        j <= 4
+    [157, 1e3]    Riemann-Siegel     1.4e-15       1.4e-15
+    [157, 1e3]    Euler-Maclaurin    5.6e-15       8.0e-15
+    [1e3, 1e4]    Riemann-Siegel     3.0e-15       9.2e-15
+    [1e3, 1e4]    Euler-Maclaurin    2.8e-15       1.9e-14
 
-From t = 10053 up, where K = 4, Z is off by up to 6.5e-14 near 1.06e4 and
-7e-15 near 2e4.
+On [10053, 11000] (K = 6) Z and Z' are within 2.3e-15 at 40 heights.
 
 theta(t) and t log n enter the main sum at first order, so both are
 reduced mod 2 pi exactly (phase.theta_reduced, phase._reduce_turns), with
@@ -57,7 +59,10 @@ from .zetacore import T_CAP
 # / (2 cos pi z)) regrouped with the Stirling series of theta into Gabcke's
 # real C_k, at 200 digits (mpmath), rounded to double. C_0 is Psi. Each
 # series stops where the rest changes C_k^(r)(p) a^(-1/2-k) (2 pi a)^-r, for
-# r <= 9 and a >= 12, by less than 1e-19.
+# r <= 9 and a >= 12, by less than 1e-19. From a = 5 (N = 5, t = 157.08) the
+# cut leaves more, at |x| = 1/2 and largest for the highest k: 1.8e-15 at
+# r = 0 (C_12), 1.3e-15 at r = 1 and 1.6e-14 at r = 9 (C_8); Z and Z' are
+# still within 3.0e-15 of mpmath there (tests/test_riemann_siegel.py).
 _C_SERIES = (
     (
         0.3826834323650898, 1.7489618723100817, 2.118025207685496,
@@ -165,14 +170,8 @@ _C_SERIES = (
 
 # correction_terms: the truncation after C_K is estimated by C_(K+1)..C_12
 # at their largest over p, with a = N, and kept under _TRUNCATION, 10x below
-# Euler-Maclaurin's roundoff on Z. From N = 40 (t >= 10053) up K stays 4,
-# as it was above 1e4: Z is then off by up to 6.5e-14 (measured against
-# mpmath on [10053, 11000]), and those heights keep their cost. N = 39
-# starts at t = 9557, where C_4 alone leaves 1.3e-13, so it takes K from
-# the estimate.
+# Euler-Maclaurin's roundoff on Z
 _TRUNCATION = 1e-16
-_K_MIN = 4
-_N_K_MIN = 40
 
 # the jets go to order 9 = K_CAP + 1
 _M_CAP = 9
@@ -242,15 +241,13 @@ def _c_max() -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def correction_terms(n_terms: int) -> int:
-    """K, the last Gabcke term C_K kept for truncation N = n_terms: 4 from
-    N = 40 up, else the fewest (at least 4) whose omitted terms, each at its
-    largest (on the stored series) times N^(-1/2-k), sum below 1e-16: K = 9
-    at N = 12 (t >= 905), 8 at N = 13..16, 7 at N = 17..29 and 6 at
-    N = 30..39."""
-    if n_terms >= _N_K_MIN:
-        return _K_MIN
+    """K, the last Gabcke term C_K kept for truncation N = n_terms: the fewest
+    whose omitted terms, each at its largest (on the stored series) times
+    N^(-1/2-k), sum below 1e-16, and at most 12, the last stored term: K =
+    12 at N = 5..6, 11 at 7, 10 at 8, 9 at 9..12, 8 at 13..16, 7 at
+    17..29, 6 at 30..59 and 5 at 60..89."""
     terms = _c_max() * float(n_terms) ** (-0.5 - np.arange(len(_C_SERIES)))
-    k = _K_MIN
+    k = 0
     while terms[k + 1 :].sum() > _TRUNCATION:
         k += 1
     return k
@@ -309,18 +306,20 @@ def _remainder(t: np.ndarray, a: np.ndarray, n_terms: int, m: int) -> np.ndarray
 
 # rows of one chunk: the (rows, N) main-sum temporaries stay small
 _CHUNK_ROWS = 512
-# the truncations N the kernel serves: from N = 12 (t = 905), where
-# correction_terms' estimate starts, to N = 89 at the height cap
-_N_SPAN = (12, math.isqrt(int(T_CAP / (2.0 * math.pi))))
+# the truncations N the kernel serves: from N = 5 (t = 157.08), where
+# theta's Stirling series and the remainder through C_12 hold to roundoff
+# and so the crossover from Euler-Maclaurin sits (hardyz._RS_MIN_T), to
+# N = 89 at the height cap
+_N_SPAN = (5, math.isqrt(int(T_CAP / (2.0 * math.pi))))
 
 
 def rs_z_jets(t: np.ndarray, m: int) -> np.ndarray:
     """Z^(r)(t) for r = 0..m <= 9, shape (P, m+1), for critical-line heights
-    1e3 <= t <= T_CAP (theta's Stirling tail holds from there). Points are
-    grouped by N = floor(sqrt(t / 2 pi)), which sets the length of the main
-    sum, the number of remainder terms and the sign of the remainder, and
-    p = a - N is taken from the same a. A group outside N = 12..89 (t below
-    905 or above 50,893, or not finite) raises DomainError."""
+    157.08 <= t <= T_CAP. Points are grouped by N = floor(sqrt(t / 2 pi)),
+    which sets the length of the main sum, the number of remainder terms and
+    the sign of the remainder, and p = a - N is taken from the same a. A
+    group outside N = 5..89 (t below 2 pi 5^2 or above 50,893, or not
+    finite) raises DomainError."""
     if not (0 <= m <= _M_CAP):
         raise DomainError(f"jet order m={m} outside 0..{_M_CAP}")
     t = np.ascontiguousarray(np.asarray(t, dtype=float).ravel())

@@ -43,13 +43,13 @@ The bound the tests check is 1e-11 * max(max_d |zeta^(d)(s)|, 1)
 (tests/test_zetacore.py, test_jets_match_mpmath and test_conjugate_symmetry).
 
 Which points these jets serve: every point off the critical line, and on
-the line the heights below 1e3. From t = 1e3 up hardyz takes Z^(j) on the
-line from the Riemann-Siegel jets (riemann_siegel), which need
-floor(sqrt(t / 2 pi)) <= 89 terms where these need N ~ (0.5 + 0.05 mu) t;
-with the remainder through C_9..C_6 below t = 10053 they are within
-3.0e-15 of mpmath for Z and Z' on [1e3, 1e4], and these jets within
-2.8e-15, at a tenth of the cost or less (hardyz._RS_MIN_T). The longdouble
-path therefore no longer runs on the line above 1e3.
+the line the heights below 2 pi 5^2 = 157.08. From there up hardyz takes
+Z^(j) on the line from the Riemann-Siegel jets (riemann_siegel), which
+need floor(sqrt(t / 2 pi)) = 5..89 terms where these need N ~ (0.5 + 0.05
+mu) t; with the remainder through C_12..C_5 they are within 3.0e-15 of
+mpmath for Z and Z' on [157, 1e4], where these jets are within 5.6e-15,
+at a third of the cost or less (hardyz._RS_MIN_T). The longdouble path
+therefore runs on the line only below 157.
 
 The Stieltjes constants c_0..c_17 are literals: mpmath's values rounded
 to double.

@@ -1,13 +1,22 @@
+import numpy as np
 import pytest
 
 import hzml.hardyz as hz
 
 
 @pytest.fixture
-def pool_threads(monkeypatch):
-    """A setter for the pool's thread count. With the EM threshold lowered
-    to 1, every batch that holds an Euler-Maclaurin point goes to the pool
-    in 4 chunks a thread when the count is above 1, whatever the CPUs;
-    batches that are all Riemann-Siegel still run on the calling thread."""
-    monkeypatch.setattr(hz, "_POOL_MIN_EM_POINTS", 1)
-    return lambda n: monkeypatch.setattr(hz, "_thread_count", lambda: n)
+def split_batches(monkeypatch):
+    """A setter that makes every critical-line batch run as n chunks joined
+    in order: hardyz._line_core is the one place every Z value on the line
+    goes through, and each point's value must not depend on the split."""
+
+    def setter(n):
+        real = hz._line_core
+
+        def split(t, j, m):
+            parts = [real(c, j, m) for c in np.array_split(t, n)]
+            return tuple(np.concatenate(col) for col in zip(*parts))
+
+        monkeypatch.setattr(hz, "_line_core", split)
+
+    return setter

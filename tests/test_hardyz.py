@@ -166,8 +166,8 @@ def test_branch_tripwire_fires(monkeypatch):
 
 
 def _nan_jets(monkeypatch, hz):
-    # NaN jets from both evaluators: Euler-Maclaurin below 1e3, Riemann-Siegel
-    # from there up
+    # NaN jets from both evaluators: Euler-Maclaurin below 157.08,
+    # Riemann-Siegel from there up
     real_em, real_rs = hz.zeta_jets_centred, hz.rs_z_jets
     monkeypatch.setattr(
         hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_em(s, m))
@@ -181,7 +181,7 @@ def test_non_finite_values_raise(monkeypatch):
     import hzml.hardyz as hz
 
     _nan_jets(monkeypatch, hz)
-    for t in (np.array([500.0, 900.0]), np.array([3.0e4, 4.5e4])):
+    for t in (np.array([50.0, 150.0]), np.array([500.0, 4.5e4])):
         with pytest.raises(BranchError):
             z_deriv_many(t, 0, return_diag=True)
         with pytest.raises(BranchError):
@@ -211,9 +211,9 @@ def test_z_pair_matches_single_orders(k):
     # plain jets with centred ones). At the zeros of Z^(4) the two orders
     # differ by up to 5e-12, on either path: the log table's rounding of the
     # n that only the longer truncation sums (test_line_double_path_margin
-    # compares the paths at one truncation). From t = 1e3 up the public
-    # functions take the Riemann-Siegel jets, so the bands above 500 and
-    # the zeros of Z^(4) are checked on the Euler-Maclaurin core directly
+    # compares the paths at one truncation). From t = 157.08 up the public
+    # functions take the Riemann-Siegel jets, so those heights and the zeros
+    # of Z^(4) are checked on the Euler-Maclaurin core directly
     import hzml.hardyz as hz
 
     rng = np.random.default_rng(k)
@@ -224,7 +224,7 @@ def test_z_pair_matches_single_orders(k):
             rng.uniform(2.0e4, T_CAP, 10),
         ]
     )
-    t_em = t[30:]
+    t_em = t[t >= hz._RS_MIN_T]
     if k == 4:
         zeros = [z for a in (2.4e4, 4.6e4) for z in find_zeros(4, a, a + 1.5).zeros]
         assert len(zeros) >= 3
@@ -269,63 +269,14 @@ def test_z_deriv_many_empty():
 
 
 def test_z_deriv_many_worker_determinism():
-    # the pool splits a batch into 4 chunks per thread; any such split, and
-    # the reversed batch, gives the same bits
+    # any split of a batch across the crossover at 157.08, and the reversed
+    # batch, gives the same bits
     t = np.linspace(100.0, 300.0, 1200)
     base = z_deriv_many(t, 1)
     for n in (3, 8, 32):
         parts = [z_deriv_many(c, 1) for c in np.array_split(t, n)]
         assert np.array_equal(np.concatenate(parts), base), n
     assert np.array_equal(z_deriv_many(t[::-1], 1)[::-1], base)
-
-
-def test_pool_matches_sequential_bitwise(monkeypatch):
-    # 3 threads forced, so a 1-CPU runner covers the pool too: batches over
-    # the EM threshold (the quadrature to 700 evaluates ~12,400 points in
-    # its first round) give the sequential bits
-    import concurrent.futures
-
-    import hzml.hardyz as hz
-    from hzml.moments import quadrature_report
-
-    opened = []
-
-    class Spy(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers)
-
-    t = np.linspace(100.0, 990.0, hz._POOL_MIN_EM_POINTS + 100)
-    monkeypatch.setattr(hz, "_thread_count", lambda: 1)
-    seq = z_deriv_many(t, 1), z_pair_many(t, 2), quadrature_report(0, 700.0)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(hz, "_thread_count", lambda: 3)
-    assert np.array_equal(z_deriv_many(t, 1), seq[0])
-    assert np.array_equal(np.stack(z_pair_many(t, 2)), np.stack(seq[1]))
-    assert quadrature_report(0, 700.0) == seq[2]
-    assert opened[:2] == [3, 3] and len(opened) >= 3
-
-
-def test_pool_only_for_many_em_points(monkeypatch):
-    # a Riemann-Siegel batch of any size, and a batch one EM point short of
-    # the threshold, run on the calling thread
-    import concurrent.futures
-
-    import hzml.hardyz as hz
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("opened a thread pool")
-
-    monkeypatch.setattr(hz, "_thread_count", lambda: 3)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    n = hz._POOL_MIN_EM_POINTS
-    rs = np.linspace(1.0e3, 3.0e3, 4 * n)
-    short = np.concatenate([np.linspace(500.0, 990.0, n - 1), rs[:100]])
-    for t in (rs, short):
-        z_deriv_many(t, 0)
-        z_pair_many(t, 0)
-    with pytest.raises(AssertionError, match="thread pool"):
-        z_deriv_many(np.linspace(500.0, 990.0, n), 0)
 
 
 @given(split=st.integers(min_value=1, max_value=59))

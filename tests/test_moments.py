@@ -159,7 +159,7 @@ def test_find_zeros_failed_check_bisects(monkeypatch):
 def test_find_zeros_non_finite_raises(monkeypatch):
     # NaN jets make every Z value NaN in both windows (mpmath has zeros in
     # each); the scan must raise rather than return an empty list, on the
-    # Euler-Maclaurin path below 1e3 and the Riemann-Siegel path above
+    # Euler-Maclaurin path below 157.08 and the Riemann-Siegel path above
     import hzml.hardyz as hz
 
     real_em, real_rs = hz.zeta_jets_centred, hz.rs_z_jets
@@ -167,7 +167,7 @@ def test_find_zeros_non_finite_raises(monkeypatch):
         hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_em(s, m))
     )
     monkeypatch.setattr(hz, "rs_z_jets", lambda t, m: real_rs(t, m) * np.nan)
-    for lo in (700.0, 45000.0):
+    for lo in (100.0, 45000.0):
         with pytest.raises(BranchError):
             find_zeros(0, lo, lo + 2.0)
 
@@ -191,12 +191,11 @@ def test_find_zeros_density_stability():
     assert max(abs(x - y) for x, y in zip(a.zeros, b.zeros)) <= 1e-8
 
 
-def test_find_zeros_worker_determinism(pool_threads):
-    # with every batch that holds an EM point split 12 ways on the pool, the
-    # scan and every refinement round give the same zeros and brackets
-    pool_threads(1)
+def test_find_zeros_worker_determinism(split_batches):
+    # with every batch of Z values split 12 ways, the scan and every
+    # refinement round give the same zeros and brackets
     base = find_zeros(1, 100.0, 2000.0)
-    pool_threads(3)
+    split_batches(12)
     again = find_zeros(1, 100.0, 2000.0)
     assert again.zeros == base.zeros
     assert again.bracket_widths == base.bracket_widths
@@ -256,11 +255,10 @@ def test_discrete_moment_monotone_in_window():
     assert 0.0 < m_short < m_long
 
 
-def test_discrete_moment_workers_bitwise(pool_threads):
+def test_discrete_moment_workers_bitwise(split_batches):
     zl = find_zeros(0, 14.0, 300.0)
-    pool_threads(1)
     base = discrete_moment(1, zl)
-    pool_threads(3)
+    split_batches(12)
     assert discrete_moment(1, zl) == base
 
 
@@ -278,11 +276,10 @@ def test_continuous_moment_matches_hall_j0():
     assert abs(val - pred) / pred < 0.02
 
 
-def test_continuous_moment_worker_determinism(pool_threads):
-    pool_threads(1)
+def test_continuous_moment_worker_determinism(split_batches):
     base = quadrature_report(1, 200.0)
-    pool_threads(3)
     assert continuous_moment(1, 200.0) == base.value
+    split_batches(12)
     assert quadrature_report(1, 200.0) == base
 
 
@@ -335,10 +332,9 @@ def test_quadrature_report_one_round():
     assert continuous_moment(0, 1000.0) == rep.value
 
 
-def test_quadrature_refines_only_panels_over_their_share(pool_threads):
+def test_quadrature_refines_only_panels_over_their_share(split_batches):
     # at tol 1e-12 the first round's estimate (4e-11 relative) fails; every
     # halved panel costs two new ones, so evaluations fix the split count
-    pool_threads(1)
     grid = len(_panel_grid(200.0)[0])
     coarse = quadrature_report(0, 200.0)
     fine = quadrature_report(0, 200.0, tol=1e-12)
@@ -347,8 +343,8 @@ def test_quadrature_refines_only_panels_over_their_share(pool_threads):
     assert fine.evaluations == 64 + 15 * (2 * fine.panels - grid)
     assert fine.error_estimate <= 1e-12 * fine.value
     assert abs(fine.value - coarse.value) <= coarse.error_estimate
-    # every round's batch split 12 ways on the pool: the same report
-    pool_threads(3)
+    # every round's batch split 12 ways: the same report
+    split_batches(12)
     assert quadrature_report(0, 200.0, tol=1e-12) == fine
 
 

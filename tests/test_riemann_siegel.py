@@ -23,6 +23,7 @@ from hzml.hardyz import _RS_MIN_T, z_deriv_many, z_pair_many
 from hzml.phase import theta_derivatives, theta_reduced
 from hzml.riemann_siegel import (
     _C_SERIES,
+    _N_SPAN,
     _series_derivatives,
     correction_terms,
     rs_z_jets,
@@ -172,7 +173,9 @@ def test_remainder_matches_gabcke():
 def test_remainder_series_derivatives_and_tail():
     # every C_k^(r) the jets use, against the 200-digit series cut where
     # the literals stop, and the terms past that change C_k^(r)(p)
-    # a^(-1/2-k) (2 pi a)^-r at |x| = 1/2, a = 12, by less than 1e-19
+    # a^(-1/2-k) (2 pi a)^-r at |x| = 1/2 by less than 1e-19 at a = 12; at
+    # a = 5, the lowest truncation, by at most 1.8e-15 for r = 0 (C_12),
+    # 1.3e-15 for r = 1 and 1.6e-14 for r = 9 (C_8), measured
     deg = 60
     with mp.workdps(200):
         series = _c_series(len(_C_SERIES) - 1, deg)
@@ -194,16 +197,34 @@ def test_remainder_series_derivatives_and_tail():
                 assert np.all(np.abs(col - [float(v) for v in ref]) <= 1e-15 * size), (k, r)
                 tail = deriv(mp.mpf(0.5), top + 1, deg + 1)
                 assert abs(tail) * (2 * math.pi * 12) ** -r * 12 ** (-0.5 - k) <= 1e-19, (k, r)
+                at_5 = abs(tail) * (2 * math.pi * 5) ** -r * 5 ** (-0.5 - k)
+                assert at_5 <= (2e-15 if r <= 2 else 2e-14), (k, r)
 
 
 def test_correction_terms_by_truncation():
-    k = [correction_terms(n) for n in range(12, 90)]
-    assert k[0] == 9 and max(k) == 9 and min(k) == 4
-    assert all(a >= b for a, b in zip(k, k[1:]))
-    assert correction_terms(39) > 4 and correction_terms(40) == 4
+    # K from the one estimate at every N the kernel serves, capped by the
+    # last stored term, C_12
+    assert _N_SPAN == (5, 89)
+    spans = {12: (5, 6), 11: (7, 7), 10: (8, 8), 9: (9, 12), 8: (13, 16), 7: (17, 29), 6: (30, 59), 5: (60, 89)}
+    for k, (lo, hi) in spans.items():
+        assert [correction_terms(n) for n in range(lo, hi + 1)] == [k] * (hi - lo + 1), k
 
 
-@pytest.mark.parametrize("t", [1.0e4, 30000.123, 49999.9, 1000.0, 1062.37])
+def test_rs_matches_siegelz_above_10053():
+    # from N = 40 (t = 10053) up the remainder used to stop at C_4 and Z was
+    # off by up to 1.1e-13 there; with K from the estimate (6 here) Z and Z'
+    # are within 3.0e-15 scaled (1 + |Z^(j)|): measured 1.8e-15 and 2.3e-15
+    # at 40 heights in [10053, 11000]
+    steps = [2.0 * math.pi * n * n + 1e-9 for n in (40, 41)]
+    near = [2.0 * math.pi * (40 + 3e-7) ** 2, 2.0 * math.pi * (41 - 3e-7) ** 2]
+    t = np.concatenate([steps, near, np.random.default_rng(5).uniform(10053.1, 1.1e4, 6)])
+    mine = rs_z_jets(t, 1)
+    for p, tp in enumerate(t.tolist()):
+        ref = np.array(_siegelz_jets(tp, 1))
+        assert np.all(np.abs(mine[p] - ref) <= 3.0e-15 * (1.0 + np.abs(ref))), tp
+
+
+@pytest.mark.parametrize("t", [1.0e4, 30000.123, 49999.9, 1000.0, 1062.37, 157.08, 200.7, 500.0, 999.37])
 def test_theta_reduced_matches_siegeltheta(t):
     mine = theta_reduced(np.array([t]))[0]
     with mp.workdps(40):
@@ -213,7 +234,7 @@ def test_theta_reduced_matches_siegeltheta(t):
 
 
 def test_theta_derivatives_match_siegeltheta():
-    t = np.array([1.0e3, 1.0e4, 27182.8, T_CAP])
+    t = np.array([1.0e3, 1.0e4, 27182.8, T_CAP, 157.08, 200.7, 500.0, 999.37])
     mine = theta_derivatives(t, 9)
     with mp.workdps(30):
         for p, tp in enumerate(t.tolist()):
@@ -279,13 +300,42 @@ def test_siegelz_jet_oracle_matches_siegelz():
             assert abs(mine[j] - ref) <= 1e-15 * (1.0 + abs(ref)), j
 
 
+def _band_heights() -> np.ndarray:
+    """96 heights in [_RS_MIN_T, 1e3]: the crossover and its upper
+    neighbour; 2 pi n^2 +- 1e-9 for n = 6..12, where N steps from n - 1 to
+    n and K drops (12, 11, 10, 9 at N = 6, 7, 8, 9); p within 3e-7 of 0
+    and of 1; the rest uniform."""
+    steps = [2.0 * math.pi * n * n + d for n in range(6, 13) for d in (-1e-9, 1e-9)]
+    near = [2.0 * math.pi * (n + p) ** 2 for n in (5, 7, 9, 11) for p in (3e-7, 1.0 - 3e-7)]
+    t = np.array([_RS_MIN_T, np.nextafter(_RS_MIN_T, np.inf)] + steps + near)
+    return np.concatenate([t, np.random.default_rng(11).uniform(_RS_MIN_T, 1.0e3, 96 - t.size)])
+
+
+def test_rs_matches_siegelz_below_1e3():
+    # Z^(j) for j <= 1 at 96 heights and j <= 4 at the first 20 (the
+    # crossover, the N steps, two heights with p near 0 and 1), scaled
+    # (1 + |Z^(j)|): measured 1.4e-15 (Z), 7.1e-16 (Z') and 9.0e-16 (j = 2..4),
+    # where Euler-Maclaurin is within 5.6e-15, 1.9e-15 and 8.0e-15
+    t = _band_heights()
+    n = np.floor(np.sqrt(t / (2.0 * math.pi)))
+    assert t.size == 96 and t.min() == _RS_MIN_T and t.max() <= 1.0e3
+    assert set(n.astype(int).tolist()) == set(range(5, 13))
+    mine = rs_z_jets(t, 4)
+    for p, tp in enumerate(t.tolist()):
+        m = 4 if p < 20 else 1
+        ref = np.array(_siegelz_jets(tp, m))
+        scale = 1.0 + np.abs(ref)
+        assert np.all(np.abs(mine[p, :2] - ref[:2]) <= 3.0e-15 * scale[:2]), tp
+        assert np.all(np.abs(mine[p, : m + 1] - ref) <= 1e-14 * scale), tp
+
+
 def _low_heights() -> np.ndarray:
-    """100 heights in [1e3, 1e4]: the crossover; 2 pi n^2 +- 1e-9, where N
+    """100 heights in [1e3, 1e4]: 1e3; 2 pi n^2 +- 1e-9, where N
     steps from n - 1 to n (at n = 13, 17 and 30 the number of remainder
     terms drops too); p within 3e-7 of 0 and of 1; the rest uniform."""
     steps = [2.0 * math.pi * n * n + d for n in (13, 14, 17, 22, 30, 35, 39) for d in (-1e-9, 1e-9)]
     near = [2.0 * math.pi * (n + p) ** 2 for n in (15, 26, 37) for p in (3e-7, 1.0 - 3e-7)]
-    t = np.array([_RS_MIN_T] + steps + near)
+    t = np.array([1.0e3] + steps + near)
     return np.concatenate([t, np.random.default_rng(10).uniform(1.0e3, 1.0e4, 100 - t.size)])
 
 
@@ -296,7 +346,7 @@ def test_rs_matches_siegelz_below_1e4():
     # phases are exact to rounding (phase._log_table), are within 3.0e-15
     # (measured: 3.0e-15 and 2.8e-15)
     t = _low_heights()
-    assert t.size == 100 and t.min() >= _RS_MIN_T and t.max() <= 1.0e4
+    assert t.size == 100 and t.min() >= 1.0e3 and t.max() <= 1.0e4
     mine = rs_z_jets(t, 4)
     em = np.stack([hz._em_line_core(t, j, j)[0][:, 0] for j in range(2)], axis=1)
     rs_gap = np.zeros((t.size, 2))
@@ -352,38 +402,42 @@ def test_rs_matches_euler_maclaurin(band):
 
 
 def test_rs_domain_by_truncation():
-    # N = floor(sqrt(t / 2 pi)) must lie in 12..89: below, the remainder
-    # estimates do not hold; above, the main sum would be cut short (at
-    # 1e5 it gave 5.3006 for siegelz's 5.8796)
-    for t in (math.nan, math.inf, 500.0, 1.0e5):
+    # N = floor(sqrt(t / 2 pi)) must lie in 5..89: below, theta's Stirling
+    # series and the remainder estimates do not hold; above, the main sum
+    # would be cut short (at 1e5 it gave 5.3006 for siegelz's 5.8796)
+    for t in (math.nan, math.inf, 150.0, 1.0e5):
         with pytest.raises(DomainError):
             rs_z_jets(np.array([2.0e4, t]), 0)
-    assert np.isfinite(rs_z_jets(np.array([905.0, 1.0e3, T_CAP]), 2)).all()
+    assert np.isfinite(rs_z_jets(np.array([_RS_MIN_T, 500.0, T_CAP]), 2)).all()
 
 
 def test_line_core_routes_by_height():
-    t = np.array([999.999, _RS_MIN_T, 2.0e3, 2.0e4])
+    # the crossover and its two float neighbours: the one below takes
+    # Euler-Maclaurin, and the kernel's guard admits the other two
+    below, above = np.nextafter(_RS_MIN_T, 0.0), np.nextafter(_RS_MIN_T, np.inf)
+    t = np.array([below, _RS_MIN_T, above, 999.999, 2.0e4])
+    assert np.floor(np.sqrt(t[1:3] / (2.0 * math.pi))).tolist() == [_N_SPAN[0]] * 2
     vals, leak = hz._line_core(t, 0, 3)
     assert np.array_equal(vals[1:], rs_z_jets(t[1:], 3))
-    assert np.array_equal(leak[1:], [0.0, 0.0, 0.0])
+    assert np.array_equal(leak[1:], [0.0, 0.0, 0.0, 0.0])
     em, em_leak = hz._em_line_core(t[:1], 0, 3)
     assert np.array_equal(vals[:1], em) and leak[0] == em_leak[0]
 
 
 def _straddling_batches() -> list[np.ndarray]:
-    """Heights across the crossover 1e3 and three values of N (12, 13, 14),
-    and across 1e4 and N = 39, 40, 41, where the remainder drops from C_6
-    to C_4."""
+    """Heights across the crossover 2 pi 5^2 and N = 4..7, where K drops
+    from 12 to 11; and across the steps of K from 7 to 6 (N = 29/30, t =
+    5655) and from 6 to 5 (N = 59/60, t = 22619)."""
+    low = [np.linspace(_RS_MIN_T - 0.5, _RS_MIN_T + 0.5, 9), [180.3, 260.9]]
+    high = [np.linspace(5654.4, 5655.4, 9), [6000.3, 22000.1, 23000.7]]
     return [
-        np.concatenate(
-            [np.linspace(centre - 0.5, centre + 0.5, 9), [2.0 * math.pi * n * n + d for n in ns for d in (-1e-9, 1e-9)], far]
-        )
-        for centre, ns, far in ((1.0e3, (13, 14), [1100.3, 1300.9]), (1.0e4, (40, 41), [10321.7, 10800.2]))
+        np.concatenate(part + [[2.0 * math.pi * n * n + d for n in ns for d in (-1e-9, 1e-9)]])
+        for part, ns in ((low, (6, 7)), (high, (30, 60)))
     ]
 
 
 def test_rs_batch_rows_match_single_points():
-    for t, ns in zip(_straddling_batches(), ({12, 13, 14}, {39, 40, 41})):
+    for t, ns in zip(_straddling_batches(), ({4, 5, 6, 7}, {29, 30, 59, 60})):
         n = np.floor(np.sqrt(t / (2.0 * math.pi)))
         assert set(n.astype(int).tolist()) == ns
         for j in (0, 4):
@@ -399,9 +453,12 @@ def test_rs_batch_rows_match_single_points():
 
 
 def test_rs_worker_determinism():
-    # split into chunks as the pool would, or reversed, a batch across both
-    # crossovers (EM/RS at 1e3, K = 6/4 at 10053) gives the same bits
-    t = np.concatenate([np.linspace(990.0, 1030.0, 700), np.linspace(9990.0, 10030.0, 700)])
+    # split into chunks, or reversed, a batch across the crossover (EM/RS at
+    # 157.08) and two steps of K (7/6 at 5655, 6/5 at 22619) gives the same
+    # bits
+    t = np.concatenate(
+        [np.linspace(150.0, 165.0, 700), np.linspace(5640.0, 5670.0, 350), np.linspace(22600.0, 22640.0, 350)]
+    )
     base = z_deriv_many(t, 1)
     for n in (8, 12):
         parts = [z_deriv_many(c, 1) for c in np.array_split(t, n)]
