@@ -22,19 +22,14 @@ t log n mod 2 pi of the Dirichlet terms are reduced exactly against the
 one table of log n / 2 pi (phase._log_table, exact double-double splits
 for every n the strip can need), so a phase is within 2.3e-16 radians in
 double, and 8e-18 on the longdouble path, at every height (_phase_matrix).
-The magnitudes, cos/sin and sums then run in double precision, except where
-the jet order and the point call for longdouble (_longdouble_points): for
-mu_max >= 5 everywhere, and for mu_max = 4 left of the critical line. The
-rule is a function of the point, so batches are grouped by (path, N).
-From order 4 up the sums are centred: they give the jets of
-exp(kappa h) zeta(s + h) with kappa = (log N)/2 (_centre), whose order-a
-weights (kappa - log n)^a / a! are up to 2^a smaller than (log n)^a / a!.
-hardyz builds Z^(k) from these directly (zeta_jets_centred); zeta_jets
-keeps kappa = 0, since shifting back would cost what centring saves.
-That is what lets Z^(4) on the line run in double: with
-plain weights it was off by up to 1.7e-11 at zeros of Z^(4) near t = 4e4,
-and the longdouble path, whose plain jets were rounded to double before
-the binomial sum, by up to 4e-12. Near
+The magnitudes, cos/sin and sums then run in double precision up to jet
+order 3 and in longdouble from order 4 (for the whole call: the path is a
+function of mu_max alone, so batches are grouped by N only). The order-a
+sums weight the terms n^-s by (log n)^a / a!, so their roundoff grows with
+the order, and hardyz's binomial sum for Z^(k) then cancels terms of size
+(log N)^k down to Z^(k). At the zeros of Z^(4) near t = 4e4, scaled
+(1 + |Z|), order-4 jets are 4.1e-12 off in double and 3.7e-13 in
+longdouble, whose jets are rounded to double before that sum. Near
 sigma = -1 at small t the Dirichlet terms n^-sigma (log n)^2 reach ~300
 while zeta'' itself is ~0.1: measured against mpmath, zeta'' at
 -0.9453125 - 2i is off by 1.5e-12 (on the longdouble path by 4e-16), and
@@ -49,7 +44,9 @@ need floor(sqrt(t / 2 pi)) = 5..89 terms where these need N ~ (0.5 + 0.05
 mu) t; with the remainder through C_12..C_5 they are within 3.0e-15 of
 mpmath for Z and Z' on [157, 1e4], where these jets are within 5.6e-15,
 at a third of the cost or less (hardyz._RS_MIN_T). The longdouble path
-therefore runs on the line only below 157.
+therefore runs on the line only below 157, where Z^(j), j <= 8, is
+within 6.2e-13 of mpmath at 160 random heights, and within 3.5e-14 below
+t = 30 (tests/test_riemann_siegel.py, test_em_matches_siegelz_below_crossover).
 
 The Stieltjes constants c_0..c_17 are literals: mpmath's values rounded
 to double.
@@ -145,48 +142,14 @@ def _phase_matrix(t: np.ndarray, cols: slice, fdtype) -> np.ndarray:
     return _turns_to_radians(x, corr)
 
 
-def _longdouble_points(sigma: np.ndarray, mu_max: int) -> np.ndarray:
-    """The precision path of each point: True where the sums must run in
-    longdouble, that is for mu_max >= 5, and for mu_max = 4 left of the
-    critical line (sigma < 1/2).
-
-    The order-a sums weight the terms n^-s by (kappa - log n)^a / a!, so
-    their roundoff grows with the order, and left of the line the terms
-    n^-sigma also grow with n. With the centred weights (_centre), Z^(4)
-    on the line in double is within 5.6e-13 of longdouble, scaled
-    (1 + |Z|), at 160 of its own zeros in [2e4, 5e4] and within 1.1e-13 at
-    2000 uniform heights there; Z^(5) is within 4.1e-12 at its zeros, and
-    zeta^(4) at sigma in [-0.95, -0.5] within 1.3e-11 scaled by
-    max(max_d |zeta^(d)|, 1): both short of a tenfold margin under the
-    1e-11 contract."""
-    return (mu_max >= 5) | ((mu_max >= 4) & (sigma < 0.5))
-
-
-def _centre(n_terms: int, mu_max: int) -> float:
-    """The shift kappa of zeta_jets_centred for a group of truncation
-    length N: (log N)/2 from jet order 4 up, else 0.
-
-    The order-a Dirichlet weights are then (kappa - log n)^a / a!, at most
-    ((log N)/2)^a / a! over n < N instead of (log N)^a / a!. On the line
-    kappa exceeds theta'(t) = log(t / 2 pi)/2 by log(2 pi N / t)/2 < 0.9
-    for t > 50, so the jets of exp(kappa h) zeta(s + h) are what Z^(k) is
-    made of without the binomial cancellation of the plain ones. Orders up
-    to 3 keep kappa = 0 and so their exact bits."""
-    return 0.5 * math.log(n_terms) if mu_max >= 4 else 0.0
-
-
-def _em_group(
-    sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool, kappa: float
-) -> np.ndarray:
-    """Derivatives (P, mu_max+1) of exp(kappa h) zeta(s + h) at h = 0 for a
-    batch sharing one truncation N and one precision path.
+def _em_group(sg: np.ndarray, n_terms: int, mu_max: int, use_ld: bool) -> np.ndarray:
+    """Derivatives (P, mu_max+1) of zeta at a batch sharing one truncation N.
 
     log n and the phases t log n mod 2 pi for n <= N are read from the one
-    cached log table (_phase_matrix), whatever the path. With use_ld (chosen
-    per point by _longdouble_points) the magnitudes, cos/sin, weights and
-    sums of the whole group are carried in longdouble; otherwise everything
-    runs in double. The shift enters only the rates -(log n - kappa) of the
-    Dirichlet terms and of N^(-s-h), which every tail piece carries.
+    cached log table (_phase_matrix), whatever the path. With use_ld (jet
+    order 4 and up, see the module docstring) the magnitudes, cos/sin,
+    weights and sums are carried in longdouble; otherwise everything runs
+    in double.
     """
     m1 = mu_max + 1
     p = sg.shape[0]
@@ -202,11 +165,10 @@ def _em_group(
     tab = _log_table()
     dirichlet = slice(0, n_terms - 1)
     logn = tab.logn[dirichlet].astype(fdtype) + tab.logn_lo[dirichlet]
-    shift = fdtype(kappa)
     weights = np.empty((m1, n_terms - 1), dtype=fdtype)
     weights[0] = 1.0
     for a in range(1, m1):
-        weights[a] = weights[a - 1] * (-(logn - shift)) / fdtype(a)
+        weights[a] = weights[a - 1] * (-logn) / fdtype(a)
     rows_per_chunk = max(1, _CHUNK_ENTRIES // n_terms)
     for lo in range(0, p, rows_per_chunk):
         hi = min(lo + rows_per_chunk, p)
@@ -221,7 +183,7 @@ def _em_group(
     logN = fdtype(tab.logn[n_terms - 1]) + tab.logn_lo[n_terms - 1]
     phase_n = _phase_matrix(sg.imag, slice(n_terms - 1, n_terms), fdtype)[:, 0]
     npow = np.exp(-sig * logN) * (np.cos(phase_n) - 1j * np.sin(phase_n)).astype(cdtype)
-    a0 = jet_exp_of_scalar(npow, -(logN - shift), mu_max)
+    a0 = jet_exp_of_scalar(npow, -logN, mu_max)
 
     # midpoint term N^-s / 2
     coeffs += half * a0
@@ -250,43 +212,25 @@ def _em_group(
     return derivatives_from_jet(coeffs).astype(np.complex128)
 
 
-def _jets(s: np.ndarray, mu_max: int, centred: bool) -> tuple[np.ndarray, np.ndarray]:
+def zeta_jets(s: np.ndarray, mu_max: int) -> np.ndarray:
+    """zeta^(mu)(s_p) for mu = 0..mu_max, shape (len(s), mu_max+1).
+
+    Each point's value depends only on the point itself (the truncation
+    length is a pure function of |t|, and the precision path of mu_max),
+    so any partition of the batch reproduces identical bits.
+    """
     if not (0 <= mu_max <= MU_CAP):
         raise DomainError(f"mu_max={mu_max} outside 0..{MU_CAP}")
     s = np.ascontiguousarray(np.asarray(s, dtype=complex).ravel())
     _validate_points(s)
 
     out = np.empty((s.shape[0], mu_max + 1), dtype=complex)
-    kappa = np.zeros(s.shape[0])
     lengths = np.array([_n_terms(ta, mu_max) for ta in np.abs(s.imag)])
-    use_ld = _longdouble_points(s.real, mu_max)
-    for n_terms, ld in sorted(set(zip(lengths.tolist(), use_ld.tolist()))):
-        mask = (lengths == n_terms) & (use_ld == ld)
-        shift = _centre(n_terms, mu_max) if centred else 0.0
-        kappa[mask] = shift
-        out[mask] = _em_group(s[mask], n_terms, mu_max, ld, shift)
-    return out, kappa
-
-
-def zeta_jets(s: np.ndarray, mu_max: int) -> np.ndarray:
-    """zeta^(mu)(s_p) for mu = 0..mu_max, shape (len(s), mu_max+1).
-
-    Each point's value depends only on the point itself (the truncation
-    length is a pure function of |t| and the precision path of sigma), so
-    any partition of the batch reproduces identical bits.
-    """
-    return _jets(s, mu_max, centred=False)[0]
-
-
-def zeta_jets_centred(s: np.ndarray, mu_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of exp(kappa_p h) zeta(s_p + h) at h = 0 for orders
-    0..mu_max, shape (len(s), mu_max+1), and the shifts kappa_p (_centre).
-
-    kappa = 0 up to order 3, where these are zeta_jets(s, mu_max) bit for
-    bit. The shift is a pure function of the truncation length and the
-    order, so each point's values still depend only on the point.
-    """
-    return _jets(s, mu_max, centred=True)
+    use_ld = mu_max >= 4
+    for n_terms in sorted(set(lengths.tolist())):
+        mask = lengths == n_terms
+        out[mask] = _em_group(s[mask], n_terms, mu_max, use_ld)
+    return out
 
 
 def zeta_deriv(s: complex, mu: int = 0) -> complex:

@@ -162,10 +162,8 @@ def test_find_zeros_non_finite_raises(monkeypatch):
     # Euler-Maclaurin path below 157.08 and the Riemann-Siegel path above
     import hzml.hardyz as hz
 
-    real_em, real_rs = hz.zeta_jets_centred, hz.rs_z_jets
-    monkeypatch.setattr(
-        hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_em(s, m))
-    )
+    real_em, real_rs = hz.zeta_jets, hz.rs_z_jets
+    monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_em(s, m) * np.nan)
     monkeypatch.setattr(hz, "rs_z_jets", lambda t, m: real_rs(t, m) * np.nan)
     for lo in (100.0, 45000.0):
         with pytest.raises(BranchError):
@@ -361,10 +359,8 @@ def test_continuous_moment_non_finite_raises(monkeypatch, T):
     # second refines to its round cap and raises QuadratureError
     import hzml.hardyz as hz
 
-    real_jets = hz.zeta_jets_centred
-    monkeypatch.setattr(
-        hz, "zeta_jets_centred", lambda s, m: tuple(x * np.nan for x in real_jets(s, m))
-    )
+    real_jets = hz.zeta_jets
+    monkeypatch.setattr(hz, "zeta_jets", lambda s, m: real_jets(s, m) * np.nan)
     with pytest.raises(BranchError):
         continuous_moment(0, T)
 

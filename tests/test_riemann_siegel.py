@@ -329,6 +329,21 @@ def test_rs_matches_siegelz_below_1e3():
         assert np.all(np.abs(mine[p, : m + 1] - ref) <= 1e-14 * scale), tp
 
 
+def test_em_matches_siegelz_below_crossover():
+    # Below 157.08 the line is Euler-Maclaurin's: Z^(j) for j <= 8 at 20
+    # heights in [2, _RS_MIN_T), scaled (1 + |Z^(j)|). Measured 3.0e-13 at
+    # all 20 (6.2e-13 at 160 heights, growing with t at j = 7, 8) and
+    # 1.9e-14 below t = 30, where N's floor of 32 sums far more terms than
+    # t needs. Jets centred on (log N)/2 from order 4 up were 8.4e-13 off at
+    # 6.7036 and 1.1e-12 at the worst of these heights
+    t = np.concatenate([[6.7036, 26.7595], np.random.default_rng(24).uniform(2.0, _RS_MIN_T, 18)])
+    mine = np.stack([z_deriv_many(t, j) for j in range(9)], axis=1)
+    for p, tp in enumerate(t.tolist()):
+        ref = np.array(_siegelz_jets(tp, 8))
+        bound = (1e-13 if tp < 30.0 else 1e-12) * (1.0 + np.abs(ref))
+        assert np.all(np.abs(mine[p] - ref) <= bound), (tp, np.abs(mine[p] - ref))
+
+
 def _low_heights() -> np.ndarray:
     """100 heights in [1e3, 1e4]: 1e3; 2 pi n^2 +- 1e-9, where N
     steps from n - 1 to n (at n = 13, 17 and 30 the number of remainder

@@ -19,13 +19,11 @@ from hzml.phase import _log_table
 from hzml.zetacore import (
     T_CAP,
     ComplexPoint,
-    _longdouble_points,
     _phase_matrix,
     stieltjes,
     stieltjes_table,
     zeta_deriv,
     zeta_jets,
-    zeta_jets_centred,
 )
 
 
@@ -80,65 +78,27 @@ def test_high_t_accuracy():
 
 @pytest.mark.parametrize("j", [1, 4])
 def test_critical_line_accuracy_near_cap(j):
-    # Dirichlet terms decay only like n^-1/2 on the line. Jets of order j
-    # run on the double path; order j + 1 = 5 (the pair of j = 4) runs in
-    # longdouble. The public functions take the Riemann-Siegel jets at this
-    # height, so the Euler-Maclaurin core is called directly
+    # Dirichlet terms decay only like n^-1/2 on the line, and near the cap
+    # the sums are longest. Jets of order 1 run in double, of order 4 and 5
+    # (the pair of j = 4) in longdouble. For j = 4 the zeros of Z^(4) are
+    # checked too, where the scale 1 + |Z| gives no cover: measured 3.7e-13
+    # there, single and paired. The public functions take the
+    # Riemann-Siegel jets at these heights, so the Euler-Maclaurin core is
+    # called directly
     from hzml.hardyz import _em_line_core
 
-    t = np.array([49999.5])
+    t = [49999.5]
+    if j == 4:
+        zeros = [z for a in (2.4e4, 4.6e4) for z in find_zeros(4, a, a + 1.5).zeros]
+        assert len(zeros) >= 3
+        t += zeros
+    t = np.array(t)
     with mp.workdps(30):
-        ref = float(mp.mp.rs_z(mp.mpf(t[0]), j))
-    single = _em_line_core(t, j, j)[0][0, 0]
-    paired = _em_line_core(t, j, j + 1)[0][0, 0]
-    assert abs(single - ref) <= 1e-11 * max(abs(ref), 1.0)
-    assert abs(paired - ref) <= 1e-11 * max(abs(ref), 1.0)
-
-
-def test_line_double_path_margin(monkeypatch):
-    # Z^(4) on the line runs in double (centred jets) only because it stays
-    # within a tenth of the 1e-11 contract of the longdouble path at the
-    # same truncation: at the zeros of Z^(4), where the scale 1 + |Z| gives
-    # no cover, and near the height cap, where the sums are longest. Both
-    # sides call the Euler-Maclaurin core, which the public functions no
-    # longer take at these heights
-    import hzml.zetacore as zc
-    from hzml.hardyz import _em_line_core
-
-    zeros = [z for a in (2.4e4, 4.6e4) for z in find_zeros(4, a, a + 1.5).zeros]
-    assert len(zeros) >= 3
-    t = np.concatenate([zeros, np.random.default_rng(4).uniform(2.0e4, T_CAP, 20)])
-    dbl = _em_line_core(t, 4, 4)[0][:, 0]
-    monkeypatch.setattr(
-        zc, "_longdouble_points", lambda sigma, mu: np.ones(np.shape(sigma), bool)
-    )
-    ld = _em_line_core(t, 4, 4)[0][:, 0]
-    assert np.all(np.abs(dbl - ld) <= 1e-12 * (1.0 + np.abs(ld)))
-
-
-def test_centred_jets_are_shifted_zeta_jets():
-    # zeta_jets_centred gives the derivatives of exp(kappa h) zeta(s + h):
-    # sum_i C(d, i) kappa^(d-i) zeta^(i)(s); kappa = 0 (and the same bits as
-    # zeta_jets) up to order 3
-    s = np.array([0.5 + 3000.0j, 1.3 - 700.0j, 0.2 + 40.0j])
-    for mu in (3, 4, 5):
-        jets, kappa = zeta_jets_centred(s, mu)
-        assert (kappa == 0).all() == (mu <= 3)
-        if mu <= 3:
-            assert np.array_equal(jets, zeta_jets(s, mu))
-            continue
-        for p, sp in enumerate(s):
-            with mp.workdps(30):
-                z = [mp.zeta(mp.mpc(sp), derivative=d) for d in range(mu + 1)]
-                ref = [
-                    complex(
-                        sum(mp.binomial(d, i) * kappa[p] ** (d - i) * z[i] for i in range(d + 1))
-                    )
-                    for d in range(mu + 1)
-                ]
-            scale = max(max(abs(r) for r in ref), 1.0)
-            for d in range(mu + 1):
-                assert abs(jets[p, d] - ref[d]) <= 1e-11 * scale, (sp, mu, d)
+        ref = np.array([float(mp.mp.rs_z(mp.mpf(x), j)) for x in t.tolist()])
+    single = _em_line_core(t, j, j)[0][:, 0]
+    paired = _em_line_core(t, j, j + 1)[0][:, 0]
+    assert np.all(np.abs(single - ref) <= 1e-12 * (1.0 + np.abs(ref))), (single - ref)
+    assert np.all(np.abs(paired - ref) <= 1e-12 * (1.0 + np.abs(ref))), (paired - ref)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -167,34 +127,42 @@ def test_phase_reduction_matches_mpmath(dtype):
                 assert abs(gap) <= 1e-15, (tp, n[q], float(gap))
 
 
-def test_batch_matches_scalar_bitwise():
+def test_batch_matches_scalar_bitwise(monkeypatch):
+    import hzml.zetacore as zc
+
     pts = np.array([0.3 + 21.0j, 1.5 + 300.0j, -0.5 + 9.0j])
     batch = zeta_jets(pts, 3)
     for i, s in enumerate(pts):
         single = zeta_jets(np.array([s]), 3)[0]
         assert np.array_equal(batch[i], single)
     # mixed heights on the line: several truncation groups share the log
-    # table, on the double (mu = 1, 4) and the longdouble (mu = 6) path
+    # table, on the double (mu = 1) and the longdouble (mu = 4, 6) path
     line = 0.5 + 1j * np.array([3.0, 900.0, 2.1e4, 4.7e4, -3.0e4, 900.25])
     for mu in (1, 4, 6):
         batch = zeta_jets(line, mu)
         for i, s in enumerate(line):
             assert np.array_equal(batch[i], zeta_jets(np.array([s]), mu)[0]), (s, mu)
-    # mixed sigma: at mu = 4 the precision path depends on sigma, so one
-    # batch holds both paths at each height; mu = 5 and 6 are longdouble.
-    # The centred jets carry a shift per truncation group as well
-    assert not _longdouble_points(np.array([0.5, 1.5]), 4).any()
-    assert _longdouble_points(np.array([0.5, 0.3, -0.5]), 5).all()
+    # mixed sigma: the precision path is longdouble iff mu_max >= 4, for the
+    # whole call, and a batch is grouped by truncation length alone, so
+    # every sigma at one height shares a group
+    calls = []
+    real_group = zc._em_group
+
+    def group(sg, n_terms, mu_max, use_ld):
+        calls.append((n_terms, use_ld))
+        return real_group(sg, n_terms, mu_max, use_ld)
+
+    monkeypatch.setattr(zc, "_em_group", group)
     heights = np.array([5.0, 700.0, 700.5, -2.4e4])
     mixed = (np.array([0.5, 0.3, 1.5, -0.5])[:, None] + 1j * heights[None, :]).ravel()
-    for mu in (4, 5, 6):
+    for mu in (3, 4, 5, 6):
+        calls.clear()
         batch = zeta_jets(mixed, mu)
-        centred, kappa = zeta_jets_centred(mixed, mu)
+        lengths = {zc._n_terms(abs(h), mu) for h in heights}
+        assert sorted(n for n, _ in calls) == sorted(lengths), (mu, calls)
+        assert all(ld == (mu >= 4) for _, ld in calls), (mu, calls)
         for i, s in enumerate(mixed):
             assert np.array_equal(batch[i], zeta_jets(np.array([s]), mu)[0]), (s, mu)
-            single, single_kappa = zeta_jets_centred(np.array([s]), mu)
-            assert np.array_equal(centred[i], single[0]), (s, mu)
-            assert kappa[i] == single_kappa[0], (s, mu)
 
 
 @given(
