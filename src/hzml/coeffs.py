@@ -10,19 +10,23 @@ sums S_u = sum_g theta_g^{-u} of the truncated-exponential roots:
   + (-1)^{j+1} (j!)^2 S_{2j+2} / (2^{2j+2} pi)
   + (-1)^j (j!)^2 sum_g x_g theta_g^{-(2j+2)} E_j(theta_g)^2 / (2^{2j+2} pi)
 
-with x_g = (T/2pi)^{z_g-1} in finite mode and e^{-2 theta_g} in asymptotic
-mode; under the first-order location z_g = 1 - 2 theta_g / L the two
-coincide exactly. Empty-sum conventions: the u-sum vanishes for j=0, and
-all root-driven terms vanish for k=0.
+with x_g = (T/2pi)^{z_g-1}; under the first-order location
+z_g = 1 - 2 theta_g / L it equals e^{-2 theta_g}, and the prediction uses
+e^{-2 theta_g} in both modes. Empty-sum conventions: the u-sum vanishes
+for j=0, and all root-driven terms vanish for k=0.
 
-The first four terms are rational multiples of 1/pi and are accumulated in
-exact rational arithmetic, so the diagonal cancellation C_{k,k} = 0 comes
-out as a literal zero rather than a small float.
+All five coefficients of T L^{2j+2} / pi are exact Fractions, from the
+power sums p_n = sum_g theta_g^n of thetaroots (integers for n > 0,
+Fractions for n < 0); the exp term is the power series of e^{-2 theta}
+summed to a tail below 1e-61. So the diagonal C_{k,k} = 0 is a literal
+zero, and per_TL = C_{j,k} is their exact sum rounded once. total is
+C_{j,k} T L^{2j+2}, not the sum of the five rounded terms, which can
+cancel to far below their size (j >= 11).
 
 raw_assembled_total() rebuilds the same value from the pre-simplification
 nested sums (the (mu, nu, lambda, g) quadruple sum split at
-u = mu + nu + 1 - lambda), which is the end-to-end oracle for every
-simplification step.
+u = mu + nu + 1 - lambda) over the floating roots of trunc_exp_roots; it
+and step4_sums are the root-side oracle for every simplification step.
 """
 
 from __future__ import annotations
@@ -30,12 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ImaginaryLeakError
 from .hardyz import window_log
-from .thetaroots import exact_power_sums, trunc_exp_roots, z_from_theta
+from .thetaroots import exact_power_sums, root_power_sums, trunc_exp_roots, z_from_theta
 
 J_CAP = 12
 K_COEFF_CAP = 25
@@ -66,14 +71,49 @@ class IdentityReport:
     abs_gap: float = 0.0
 
 
-def _rational_terms(j: int, k: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Coefficients of T L^{2j+2} / pi for the four root-free terms."""
+# 1/pi to 40 digits: one product with it leaves every float below within
+# an ulp of the exact rational-over-pi value
+_INV_PI = Fraction("0.3183098861837906715377675267450287240689")
+
+
+def _exp_sum(j: int, k: int) -> Fraction:
+    """sum_g e^{-2 theta_g} theta_g^{-(2j+2)} E_j(theta_g)^2 from exact power
+    sums: sum_{m>=0} (-2)^m/m! sum_{a,b<=j} p_{m+a+b-2j-2} / (a! b!).
+
+    |theta_g| <= k, so stopping at m = ceil(2ek) + 60 leaves a tail below
+    1e-61 of the sum. On the diagonal j = k every root's term carries
+    E_k(theta_g)^2 = 0, and the exact power sums make the result a literal 0.
+    """
+    m_max = math.ceil(2 * math.e * k) + 60
+    inv = exact_power_sums(k, 2 * J_CAP + 2)
+    pos = root_power_sums(k, m_max)
+
+    def p(n: int):
+        return pos[n - 1] if n > 0 else inv[-n - 1] if n < 0 else k
+
+    # c[s] = (2j)! sum_{a+b=s; a,b<=j} 1/(a! b!), an integer
+    f = math.factorial
+    c = [
+        sum(f(2 * j) // (f(a) * f(s - a)) for a in range(max(0, s - j), min(s, j) + 1))
+        for s in range(2 * j + 1)
+    ]
+    acc = Fraction(0)
+    for m in range(m_max + 1):
+        x = sum(c[s] * p(m + s - 2 * j - 2) for s in range(2 * j + 1))
+        acc += Fraction((-2) ** m, f(m)) * x
+    return acc / f(2 * j)
+
+
+@lru_cache(maxsize=None)
+def _terms(j: int, k: int) -> tuple[Fraction, ...]:
+    """Coefficients of T L^{2j+2} / pi for the five terms, exact."""
     q_delta = Fraction(1, 2 ** (2 * j + 1) * (2 * j + 1)) if k == 0 else Fraction(0)
     q_cg = -Fraction((k + 1) * (1 + (-1) ** j), 2 ** (2 * j + 2) * (j + 1) ** 2)
     q_u = Fraction(0)
     q_p = Fraction(0)
+    q_exp = Fraction(0)
     if k >= 1:
-        p = exact_power_sums(k, 2 * j + 2)
+        p = exact_power_sums(k, 2 * J_CAP + 2)
         for u in range(1, j + 1):
             q_u += (
                 Fraction(math.factorial(j) * (-1) ** u,
@@ -81,25 +121,10 @@ def _rational_terms(j: int, k: int) -> tuple[Fraction, Fraction, Fraction, Fract
                 * p[u]
             )
         q_u /= 2 ** (2 * j + 1)
-        q_p = Fraction((-1) ** (j + 1) * math.factorial(j) ** 2, 2 ** (2 * j + 2)) * p[
-            2 * j + 1
-        ]
-    return q_delta, q_cg, q_u, q_p
-
-
-def _exp_term_sum(j: int, k: int) -> float:
-    """sum_g x_g theta_g^{-(2j+2)} E_j(theta_g)^2 with the conjugate check;
-    x_g = e^{-2 theta_g} in both modes."""
-    ts = trunc_exp_roots(k)
-    roots = np.array(ts.roots)
-    factors = np.array(ts.exp_factors)
-    ej = ts.partial_sums(j)
-    acc = complex(np.sum(factors * roots ** (-(2 * j + 2)) * ej * ej))
-    if abs(acc.imag) > 1e-9 * (1.0 + abs(acc.real)):
-        raise ImaginaryLeakError(
-            f"exp-term sum leaks imaginary part {acc.imag:.3e} at j={j}, k={k}"
-        )
-    return acc.real
+        coef = Fraction((-1) ** j * math.factorial(j) ** 2, 2 ** (2 * j + 2))
+        q_p = -coef * p[2 * j + 1]
+        q_exp = coef * _exp_sum(j, k)
+    return q_delta, q_cg, q_u, q_p, q_exp
 
 
 def breakdown(
@@ -110,8 +135,10 @@ def breakdown(
 ) -> CoefficientBreakdown:
     """Five-term prediction at (j, k).
 
-    Finite mode needs T >= 100; asymptotic mode defaults T to 1e6 for the
-    term/total scaling while per_TL stays T-free.
+    Each term is its exact coefficient over pi, rounded once, times
+    T L^{2j+2}; per_TL is C_{j,k}, the exact sum of the five coefficients
+    rounded once, and total is per_TL T L^{2j+2}. The mode only sets T:
+    finite mode needs T >= 100, asymptotic mode defaults it to 1e6.
     """
     if mode not in ("finite", "asymptotic"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -127,21 +154,11 @@ def breakdown(
     L = window_log(T)
     scale = T * L ** (2 * j + 2)
 
-    q_delta, q_cg, q_u, q_p = _rational_terms(j, k)
-    if k == 0 or j == k:
-        d_exp = 0.0  # E_k(theta_g) = 0 by the defining equation when j = k
-    else:
-        coef = (-1) ** j * math.factorial(j) ** 2 / 2 ** (2 * j + 2)
-        d_exp = coef * _exp_term_sum(j, k) / math.pi
-
-    term_delta = float(q_delta) / math.pi * scale
-    term_cg = float(q_cg) / math.pi * scale
-    term_u = float(q_u) / math.pi * scale
-    term_p2j2 = float(q_p) / math.pi * scale
-    term_exp = d_exp * scale
-    total = term_delta + term_cg + term_u + term_p2j2 + term_exp
-    # cancellation-safe normalization: rationals summed exactly first
-    per_tl = float(q_delta + q_cg + q_u + q_p) / math.pi + d_exp
+    q = _terms(j, k)
+    term_delta, term_cg, term_u, term_p2j2, term_exp = (
+        float(x * _INV_PI) * scale for x in q
+    )
+    per_tl = float(sum(q) * _INV_PI)
     return CoefficientBreakdown(
         j=j,
         k=k,
@@ -153,18 +170,15 @@ def breakdown(
         term_u=term_u,
         term_p2j2=term_p2j2,
         term_exp=term_exp,
-        total=total,
+        total=per_tl * scale,
         per_TL=per_tl,
     )
 
 
 def asymptotic_coefficient(j: int, k: int) -> float:
-    """C_{j,k} with the prediction written as C_{j,k} T L^{2j+2}."""
-    a = breakdown(j, k, 1.0e6, "asymptotic").per_TL
-    b = breakdown(j, k, 1.0e9, "asymptotic").per_TL
-    if abs(a - b) > 1e-14 * (1.0 + abs(a)):
-        raise DomainError("asymptotic coefficient picked up a T dependence")
-    return a
+    """C_{j,k} with the prediction written as C_{j,k} T L^{2j+2}: breakdown's
+    per_TL, which holds no T."""
+    return breakdown(j, k, mode="asymptotic").per_TL
 
 
 def combi_sum(j: int, u: int) -> IdentityReport:

@@ -470,8 +470,8 @@ def hall_W(g: int, v: float) -> float:
     if not (0 <= g <= HALL_G_CAP):
         raise DomainError(f"g={g} outside 0..{HALL_G_CAP}")
     acc = 0.0
-    for i in range(g + 1):
-        acc = acc * v + (-1) ** i * math.factorial(g) // math.factorial(g - i)
+    for c in reversed(_w_coefficients(g)):
+        acc = acc * v + c
     return acc
 
 

@@ -4,10 +4,11 @@ E_k(theta) = sum_{mu=0}^k theta^mu / mu! has k simple complex roots,
 conjugate-closed, one real (negative) root iff k is odd. Root finding runs
 on the k!-scaled integer-coefficient polynomial via a damped Aberth sweep
 from a perturbed circle, then each root is polished by high-precision
-Newton. Inverse power sums p_u = sum_g theta_g^{-u} follow two roads:
-exactly from the coefficients (Newton-Girard on the reversed polynomial,
-rational arithmetic) and numerically from the roots; the exact road is
-primary, the root road a cross-check.
+Newton. Power sums sum_g theta_g^n follow two roads: exactly from the
+coefficients, by one Newton-Girard recurrence that serves both signs of n
+(on k! E_k for n > 0, integers; on the reversed polynomial for n < 0,
+Fractions), and numerically from the roots; the exact road is primary,
+the root road a cross-check.
 
 Reversed polynomial: theta^k E_k(1/theta) = sum_i theta^{k-i} / i!, monic
 with coefficient 1/i! on x^{k-i}, whose roots are the 1/theta_g.
@@ -41,25 +42,44 @@ def trunc_exp(z: np.ndarray, j: int) -> np.ndarray:
     return acc
 
 
+def _newton_girard(c: list, n_max: int) -> list:
+    """p_1..p_n_max of the roots of the monic x^k + c_1 x^{k-1} + ... + c_k
+    (c_0 = 1 unused): p_n = -sum_{i=1}^{min(n-1,k)} c_i p_{n-i} - n c_n, the
+    last term only for n <= k. Integer c give integer p, Fraction c exact
+    Fractions."""
+    k = len(c) - 1
+    p: list = []
+    for n in range(1, n_max + 1):
+        acc = n * c[n] if n <= k else 0
+        for i in range(1, min(n - 1, k) + 1):
+            acc += c[i] * p[n - i - 1]
+        p.append(-acc)
+    return p
+
+
 @lru_cache(maxsize=None)
 def exact_power_sums(k: int, u_max: int) -> tuple[Fraction, ...]:
     """p_1..p_u_max for the inverse roots, exact; index u-1 holds p_u.
 
-    Newton-Girard on the monic reversed polynomial with c_i = 1/i!:
-    p_u = -sum_{i=1}^{min(u-1,k)} p_{u-i}/i! - u/u! (last term only u <= k).
+    Newton-Girard on the monic reversed polynomial, c_i = 1/i!.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    c = [Fraction(1, math.factorial(i)) for i in range(k + 1)]
-    p: list[Fraction] = []
-    for u in range(1, u_max + 1):
-        acc = Fraction(0)
-        for i in range(1, min(u - 1, k) + 1):
-            acc += c[i] * p[u - i - 1]
-        if u <= k:
-            acc += u * c[u]
-        p.append(-acc)
-    return tuple(p)
+    return tuple(
+        _newton_girard([Fraction(1, math.factorial(i)) for i in range(k + 1)], u_max)
+    )
+
+
+@lru_cache(maxsize=None)
+def root_power_sums(k: int, n_max: int) -> tuple[int, ...]:
+    """sum_g theta_g^n for n = 1..n_max, exact integers; index n-1 holds n.
+
+    Newton-Girard on the monic integer polynomial k! E_k, c_i = k!/(k-i)!.
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    c = [math.factorial(k) // math.factorial(k - i) for i in range(k + 1)]
+    return tuple(_newton_girard(c, n_max))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,18 @@ def test_coeff_diagonal_total_zero(capsys):
     assert payload["total"] == 0.0
 
 
+def test_coeff_j12_k1_per_tl_positive(capsys):
+    # the five terms reach 1e9 per T L^26 and cancel to 4.8e-10; summed as
+    # rounded floats they gave -2^-22
+    code, out, _ = run_cli(capsys, "coeff", "--j", "12", "--k", "1", "--asymptotic")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["per_TL"] > 0.0
+    assert f"{payload['per_TL']:.13e}" == "4.7786347665207e-10"
+    scale = payload["T"] * payload["L"] ** 26
+    assert payload["total"] == payload["per_TL"] * scale
+
+
 def test_coeff_finite_needs_T(capsys):
     code, out, err = run_cli(capsys, "coeff", "--j", "0", "--k", "1")
     assert code == 2

@@ -4,10 +4,15 @@ Anchors that admit closed forms: C_{0,0} = 0, C_{1,0} = 1/(24 pi),
 C_{0,1} = (e^2 - 5)/(4 pi), and the vanishing of the whole diagonal
 j = k. The raw-assembly equivalence rebuilds the prediction from the
 pre-simplification quadruple sums, exercising every algebraic step at once.
+Every C_{j,k} is checked against 50-digit root-road references in
+tests/data/coefficients.json (scripts/make_references.py).
 """
 
+import importlib.util
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,9 +53,11 @@ def test_anchor_c00_vanishes_exactly():
 
 @pytest.mark.parametrize("k", list(range(13)))
 def test_diagonal_vanishes_exactly(k):
-    # at j = k the rationals cancel as Fractions and the exp term is
-    # definitionally zero, so per_TL is bitwise 0.0
-    assert breakdown(k, k, mode="asymptotic").per_TL == 0.0
+    # at j = k the rationals cancel as Fractions and every root's exp term
+    # carries E_k(theta_g)^2 = 0, so the exact sum is a literal zero
+    b = breakdown(k, k, mode="asymptotic")
+    assert b.per_TL == 0.0
+    assert b.term_exp == 0.0
 
 
 def test_breakdown_empty_sum_conventions():
@@ -206,3 +213,44 @@ def test_u_term_hand_algebra_k1():
     assert b.term_u == pytest.approx(
         float(Fraction(-7, 192)) / math.pi * scale, rel=1e-12
     )
+
+
+REFERENCE = Path(__file__).resolve().parent / "data" / "coefficients.json"
+
+
+def _make_references():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_references.py"
+    spec = importlib.util.spec_from_file_location("make_references", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_per_tl_within_2_ulp_of_reference():
+    # 50-digit values from the root road (mpmath.polyroots, direct sums);
+    # breakdown takes the coefficient road, so this checks the exact power
+    # sums and the truncated e^{-2 theta} series at every (j, k)
+    values = json.loads(REFERENCE.read_text())["values"]
+    assert {(r["j"], r["k"]) for r in values} == {
+        (j, k) for j in range(13) for k in range(26)
+    }
+    for r in values:
+        got = breakdown(r["j"], r["k"], mode="asymptotic").per_TL
+        ref = Fraction(r["per_TL"])
+        if ref == 0:
+            assert got == 0.0, r
+        else:
+            ulps = abs(Fraction(got) - ref) / Fraction(math.ulp(float(ref)))
+            assert ulps <= 2, (r, got, float(ulps))
+
+
+def test_reference_file_is_current():
+    import mpmath as mp
+
+    mr = _make_references()
+    values = {(r["j"], r["k"]): r["per_TL"]
+              for r in json.loads(REFERENCE.read_text())["values"]}
+    with mp.workdps(mr.DPS):
+        for j, k in ((12, 1), (11, 1), (8, 2)):
+            live = mp.nstr(mr.per_tl(j, k, mr.roots(k)), mr.DIGITS)
+            assert live == values[j, k], (j, k)

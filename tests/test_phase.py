@@ -86,12 +86,14 @@ def test_theta_split_matches_decimal():
 
 
 def test_import_leaves_mpmath_unloaded():
-    # mpmath is imported where thetaroots needs it, not by `import hzml`
+    # mpmath is imported where thetaroots' root finder needs it, not by
+    # `import hzml`, and the prediction (exact power sums) never needs it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(hzml.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
-    code = "import sys, hzml; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for call in ("pass", "hzml.moment_report(0, 1, 300.0)"):
+        code = f"import sys, hzml; {call}; print('mpmath' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", call
