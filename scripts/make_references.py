@@ -1,4 +1,5 @@
-"""Write the 50-digit reference values of C_{j,k} to tests/data.
+"""Write the reference files of tests/data: the 50-digit values of C_{j,k}
+(coefficients.json) and hzml's golden outputs (golden.json).
 
 C_{j,k} = per_TL, the coefficient of T L^{2j+2} in the five-term
 prediction, is computed here by the root road alone: mpmath.polyroots of
@@ -16,11 +17,20 @@ the file checks hzml.coeffs.breakdown, which takes the coefficient side
 (exact power sums) instead. The terms cancel by up to 15 digits (j = 12,
 k = 1), so the sums run at DPS = 80 digits to keep 50 good ones.
 
-Usage (about 6 s):
-    python3 scripts/make_references.py      # writes tests/data/coefficients.json
+golden.json holds hzml's stdout for each command line of GOLDEN_ARGV,
+run in-process, with the numpy version and platform that made it;
+tests/test_golden.py reruns them and compares field by field. A change
+that moves one of these numbers regenerates the file, so the move shows
+in its diff.
+
+Usage (about 10 s):
+    PYTHONPATH=src python3 scripts/make_references.py   # writes both files
 """
 
+import contextlib
+import io
 import json
+import platform
 from pathlib import Path
 
 import mpmath as mp
@@ -29,7 +39,17 @@ DPS = 80
 DIGITS = 50
 J_MAX = 12
 K_MAX = 25
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "coefficients.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+OUT = DATA / "coefficients.json"
+GOLDEN = DATA / "golden.json"
+GOLDEN_ARGV = (
+    ("verify", "--j", "0", "--k", "1", "--t-max", "2000"),
+    ("cmoment", "--j", "0", "--t-max", "2000"),
+    ("zeros", "--k", "1", "--t-max", "2000"),
+    ("coeff", "--j", "2", "--k", "3", "--asymptotic"),
+    ("coeff", "--j", "12", "--k", "1", "--asymptotic"),
+    ("theta-roots", "--k", "40"),
+)
 
 
 def roots(k: int) -> list:
@@ -77,6 +97,32 @@ def table() -> list[dict]:
     return rows
 
 
+def hzml_stdout(argv) -> str:
+    """What `hzml *argv` prints, run in-process."""
+    from hzml.cli import main as hzml_main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = hzml_main(list(argv))
+    assert code == 0, (argv, code)
+    return buf.getvalue()
+
+
+def write_golden() -> None:
+    import numpy as np
+
+    payload = {
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "platform": f"{platform.system()} {platform.machine()}",
+    }
+    rows = ",\n".join(
+        "  " + json.dumps({"argv": list(a), "stdout": hzml_stdout(a)}) for a in GOLDEN_ARGV
+    )
+    head = json.dumps(payload, indent=1)[:-2]
+    GOLDEN.write_text(f'{head},\n "outputs": [\n{rows}\n ]\n}}\n')
+
+
 def main() -> None:
     payload = {
         "quantity": "per_TL = C_{j,k}, coefficient of T L^{2j+2}",
@@ -89,6 +135,7 @@ def main() -> None:
     head = json.dumps(payload, indent=1)[:-2]
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(f'{head},\n "values": [\n{rows}\n ]\n}}\n')
+    write_golden()
 
 
 if __name__ == "__main__":

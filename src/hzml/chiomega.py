@@ -108,25 +108,10 @@ def psi_jets(z: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-_TAN_POLYS: list[np.ndarray] = [np.array([0.0, 1.0])]
-
-
-def _tan_poly(r: int) -> np.ndarray:
-    """Integer coefficients of P_r with d^r/dx^r tan = P_r(tan),
-    P_0 = x, P_{r+1} = (1 + x^2) P_r'."""
-    while len(_TAN_POLYS) <= r:
-        cur = _TAN_POLYS[-1]
-        dcur = cur[1:] * np.arange(1, len(cur))
-        nxt = np.zeros(len(dcur) + 2)
-        nxt[: len(dcur)] += dcur
-        nxt[2:] += dcur
-        _TAN_POLYS.append(nxt)
-    return _TAN_POLYS[r]
-
-
 def _tan_jets_series(s: np.ndarray, m: int) -> np.ndarray:
-    """Derivatives of tan(pi s/2) for Im s >= 1 via q = exp(i pi s):
-    tan(pi s/2) = i (1 - q)/(1 + q), expanded as a jet in h."""
+    """Derivatives of tan(pi s/2) for Im s >= 0 via q = exp(i pi s):
+    tan(pi s/2) = i (1 - q)/(1 + q), expanded as a jet in h. |q| <= 1
+    there, and the pole guard keeps 1 + q away from 0."""
     q0 = np.exp(1j * math.pi * s)
     qjet = np.empty((s.shape[0], m + 1), dtype=complex)
     qjet[:, 0] = q0
@@ -141,28 +126,15 @@ def _tan_jets_series(s: np.ndarray, m: int) -> np.ndarray:
 
 
 def tan_half_pi_jets(s: np.ndarray, m: int) -> np.ndarray:
-    """d^r/ds^r tan(pi s / 2) for r = 0..m, shape (P, m+1)."""
+    """d^r/ds^r tan(pi s / 2) for r = 0..m, shape (P, m+1): the q-series
+    for Im s >= 0, its conjugate at conj(s) below."""
     s = np.asarray(s, dtype=complex)
     nearest_odd = 2.0 * np.round((s.real - 1.0) / 2.0) + 1.0
     if np.any(np.abs(s - nearest_odd) < 1e-3):
         raise PoleProximityError("within 1e-3 of a pole of tan(pi s/2)")
-    out = np.empty((s.shape[0], m + 1), dtype=complex)
-    t = s.imag
-    up = t >= 1.0
-    dn = t <= -1.0
-    mid = ~(up | dn)
-    if np.any(up):
-        out[up] = _tan_jets_series(s[up], m)
-    if np.any(dn):
-        out[dn] = np.conj(_tan_jets_series(np.conj(s[dn]), m))
-    if np.any(mid):
-        x = np.tan(math.pi * s[mid] / 2.0)
-        for r in range(m + 1):
-            coeffs = _tan_poly(r)
-            val = np.zeros_like(x)
-            for c in coeffs[::-1]:
-                val = val * x + c
-            out[mid, r] = (math.pi / 2.0) ** r * val
+    dn = s.imag < 0.0
+    out = _tan_jets_series(np.where(dn, s.conj(), s), m)
+    out[dn] = out[dn].conj()
     return out
 
 

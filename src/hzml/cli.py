@@ -2,7 +2,9 @@
 
 Subcommands: theta-roots, zeros, moment (alias verify), cmoment, coeff,
 identities. Reports are JSON by default (top-level "schema": "1", every float
-at 17 significant digits); `zeros --csv` emits the zeros table instead.
+at 17 significant digits; moment/verify and coeff print the fields of their
+report dataclass in declaration order); `zeros --csv` emits the zeros table
+instead.
 Output is byte-identical across runs: no timestamps, no environment echoes,
 deterministic numerics underneath. Nothing is threaded. `--workers N` is
 still accepted (a positive int) and has no effect: the benchmark's
@@ -17,6 +19,7 @@ diagnostic to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -123,20 +126,7 @@ def _cmd_zeros(args):
 
 def _cmd_moment(args) -> dict:
     r = moment_report(args.j, args.k, args.t_max, args.density)
-    return {
-        "schema": "1",
-        "command": args.command,
-        "j": r.j,
-        "k": r.k,
-        "T": r.T,
-        "measured": r.measured,
-        "predicted": r.predicted,
-        "ratio": r.ratio,
-        "n_zeros_used": r.n_zeros_used,
-        "count_expected": r.count_expected,
-        "count_deviation": r.count_deviation,
-        "max_imag_leak": r.max_imag_leak,
-    }
+    return {"schema": "1", "command": args.command, **dataclasses.asdict(r)}
 
 
 def _cmd_cmoment(args) -> dict:
@@ -163,22 +153,7 @@ def _cmd_coeff(args) -> dict:
     if mode == "finite" and args.T is None:
         raise DomainError("coeff needs --T in finite mode (or pass --asymptotic)")
     b = breakdown(args.j, args.k, args.T, mode)
-    return {
-        "schema": "1",
-        "command": "coeff",
-        "j": b.j,
-        "k": b.k,
-        "T": b.T,
-        "mode": b.mode,
-        "L": b.L,
-        "term_delta": b.term_delta,
-        "term_cg": b.term_cg,
-        "term_u": b.term_u,
-        "term_p2j2": b.term_p2j2,
-        "term_exp": b.term_exp,
-        "total": b.total,
-        "per_TL": b.per_TL,
-    }
+    return {"schema": "1", "command": "coeff", **dataclasses.asdict(b)}
 
 
 def _cmd_identities(args) -> dict:

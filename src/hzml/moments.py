@@ -156,6 +156,19 @@ def _local_gap_log(t: float) -> float:
     return max(math.log(t / (2.0 * math.pi)), 0.7)
 
 
+def _gap_grid(t_lo: float, t_hi: float, per_gap: int) -> np.ndarray:
+    """t_lo, then steps of 1/per_gap of the local zero gap,
+    t += 2 pi / (_local_gap_log(t) * per_gap), up to t_hi; the last point,
+    which may overshoot, is set to t_hi. Needs t_lo < t_hi."""
+    grid = [t_lo]
+    t = t_lo
+    while t < t_hi:
+        t += 2.0 * math.pi / (_local_gap_log(t) * per_gap)
+        grid.append(t)
+    grid[-1] = t_hi
+    return np.array(grid)
+
+
 def _neumaier(values) -> float:
     acc = 0.0
     comp = 0.0
@@ -275,12 +288,7 @@ def find_zeros(k: int, t_lo: float, t_hi: float, density: int = 6) -> ZeroList:
     """
     _check_scan_args(k, t_lo, t_hi, density)
 
-    grid = [t_lo]
-    t = t_lo
-    while t < t_hi:
-        t += 2.0 * math.pi / (_local_gap_log(t) * density)
-        grid.append(min(t, t_hi))
-    pts = np.array(grid)
+    pts = _gap_grid(t_lo, t_hi, density)
     vals = z_deriv_many(pts, k)
 
     exact_hits = [float(pts[i]) for i in np.nonzero(vals == 0.0)[0]]
@@ -381,17 +389,6 @@ class QuadratureReport:
     evaluations: int
 
 
-def _panel_grid(T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of the first-round panels on [2, T], each at most half the
-    local zero gap wide."""
-    edges = [2.0]
-    t = 2.0
-    while t < T:
-        t += math.pi / _local_gap_log(t)
-        edges.append(min(t, T))
-    return np.array(edges[:-1]), np.array(edges[1:])
-
-
 def _check_quadrature_args(j: int, T: float, tol: float) -> None:
     if not (0 <= j <= K_CAP):
         raise DomainError(f"j={j} outside 0..{K_CAP}")
@@ -428,7 +425,9 @@ def quadrature_report(j: int, T: float, tol: float = 1e-9) -> QuadratureReport:
     if T <= 2.0:
         return QuadratureReport(sliver, 0.0, tol, 0, 0, evaluations)
 
-    new_lo, new_hi = _panel_grid(T)
+    # first-round panels: half the local zero gap wide
+    edges = _gap_grid(2.0, T, 2)
+    new_lo, new_hi = edges[:-1], edges[1:]
     lo = hi = value = err = np.empty(0)
     for rounds in range(1, _MAX_REFINE_ROUNDS + 1):
         if len(new_lo) > _MAX_PANELS:

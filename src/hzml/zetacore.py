@@ -55,7 +55,6 @@ to double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,28 +78,6 @@ _BERNOULLI_TERMS = 12
 # entries made z_deriv_many(t, 0), t in [100, 999], 1.25x slower, and of 4M
 # entries 1.4x slower.
 _CHUNK_ENTRIES = 16_000
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point s = sigma + i t inside the working strip."""
-
-    sigma: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (SIGMA_MIN < self.sigma < SIGMA_MAX):
-            raise DomainError(f"sigma={self.sigma} outside ({SIGMA_MIN}, {SIGMA_MAX})")
-        if not (abs(self.t) <= T_CAP and math.isfinite(self.t)):
-            raise DomainError(f"|t|={abs(self.t)} exceeds cap {T_CAP}")
-
-    @property
-    def s(self) -> complex:
-        return complex(self.sigma, self.t)
-
-    @classmethod
-    def from_complex(cls, s: complex) -> "ComplexPoint":
-        return cls(float(s.real), float(s.imag))
 
 
 def _validate_points(s: np.ndarray) -> None:
@@ -243,44 +220,32 @@ def zeta_deriv(s: complex, mu: int = 0) -> complex:
 # ---------------------------------------------------------------------------
 # Stieltjes constants
 
-
-@dataclass(frozen=True)
-class StieltjesTable:
-    """Immutable table of c_0..c_17 around the Laurent expansion
-    zeta(s) = 1/(s-1) + sum_n (-1)^n c_n (s-1)^n / n!."""
-
-    values: tuple[float, ...]
-
-    def __getitem__(self, n: int) -> float:
-        return self.values[n]
-
-
+# c_0..c_17 of the Laurent expansion
+# zeta(s) = 1/(s-1) + sum_n (-1)^n c_n (s-1)^n / n!;
 # c_n = float(mpmath.stieltjes(n)), the correctly rounded doubles
-_STIELTJES = StieltjesTable(
-    values=(
-        0.5772156649015329,
-        -0.07281584548367673,
-        -0.00969036319287232,
-        0.002053834420303346,
-        0.0023253700654673,
-        0.0007933238173010627,
-        -0.0002387693454301996,
-        -0.000527289567057751,
-        -0.0003521233538030395,
-        -3.439477441808805e-05,
-        0.0002053328149090648,
-        0.0002701844395439035,
-        0.0001672729121051402,
-        -2.7463806603760158e-05,
-        -0.00020920926205929996,
-        -0.0002834686553202414,
-        -0.00019969685830896976,
-        2.6277037109918338e-05,
-    )
+_STIELTJES = (
+    0.5772156649015329,
+    -0.07281584548367673,
+    -0.00969036319287232,
+    0.002053834420303346,
+    0.0023253700654673,
+    0.0007933238173010627,
+    -0.0002387693454301996,
+    -0.000527289567057751,
+    -0.0003521233538030395,
+    -3.439477441808805e-05,
+    0.0002053328149090648,
+    0.0002701844395439035,
+    0.0001672729121051402,
+    -2.7463806603760158e-05,
+    -0.00020920926205929996,
+    -0.0002834686553202414,
+    -0.00019969685830896976,
+    2.6277037109918338e-05,
 )
 
 
-def stieltjes_table() -> StieltjesTable:
+def stieltjes_table() -> tuple[float, ...]:
     """The table of c_0..c_17."""
     return _STIELTJES
 

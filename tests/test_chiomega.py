@@ -68,6 +68,26 @@ def test_tan_jets_finite_difference():
         assert abs(jets[r] - fd) <= 1e-6 * (1.0 + abs(jets[r])), r
 
 
+def test_tan_jets_match_mpmath_near_real_axis():
+    # |Im s| < 1, where the q-series' |q| = e^(-pi |t|) is near 1; the bound
+    # is per derivative, scaled by max(1, |reference|)
+    rng = np.random.default_rng(28)
+    s = rng.uniform(-0.95, 1.95, 60) + 1j * rng.uniform(-0.99, 0.99, 60)
+    nearest_odd = 2.0 * np.round((s.real - 1.0) / 2.0) + 1.0
+    s = s[np.abs(s - nearest_odd) >= 2e-3][:40]
+    assert s.size == 40
+    m = 8
+    mine = tan_half_pi_jets(s, m)
+    worst = 0.0
+    with mp.workdps(30):
+        for p, z in enumerate(s):
+            refs = mp.diffs(lambda x: mp.tan(mp.pi * x / 2), mp.mpc(z), m)
+            for r, ref in enumerate(refs):
+                ref = complex(ref)
+                worst = max(worst, abs(mine[p, r] - ref) / max(1.0, abs(ref)))
+    assert worst <= 3e-14, worst
+
+
 def test_tan_pole_guard():
     with pytest.raises(PoleProximityError):
         tan_half_pi_jets(np.array([1.0 + 1e-5j]), 0)

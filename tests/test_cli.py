@@ -1,6 +1,7 @@
 """Command-line contract: payload shapes, formatting, exit codes, and
 byte-level determinism of the emitted reports."""
 
+import dataclasses
 import json
 import math
 import os
@@ -18,8 +19,9 @@ else:  # pytest itself depends on tomli before 3.11
 
 import hzml
 from hzml.cli import _fmt_float, build_parser, main
+from hzml.coeffs import CoefficientBreakdown
 from hzml.errors import CompletenessAlarm
-from hzml.moments import find_zeros
+from hzml.moments import MomentReport, find_zeros
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +182,22 @@ def test_moment_and_verify_agree(capsys):
     assert pm.pop("command") == "moment"
     assert pv.pop("command") == "verify"
     assert pm == pv
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (("verify", "--j", "0", "--k", "1", "--t-max", "300"), MomentReport),
+        (("coeff", "--j", "2", "--k", "3", "--asymptotic"), CoefficientBreakdown),
+    ],
+)
+def test_report_payload_follows_its_dataclass(capsys, argv, report):
+    # schema and command, then the report's fields in declaration order:
+    # a field added to the dataclass reaches the JSON with no CLI edit
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    keys = list(json.loads(out))
+    assert keys == ["schema", "command", *(f.name for f in dataclasses.fields(report))]
 
 
 def test_byte_identical_across_runs_and_workers(capsys):

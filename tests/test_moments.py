@@ -19,7 +19,7 @@ from hzml.hardyz import z_deriv_many
 from hzml.moments import (
     _GK15,
     ZeroList,
-    _panel_grid,
+    _gap_grid,
     continuous_moment,
     count_bound,
     count_check,
@@ -309,7 +309,8 @@ def test_quadrature_error_estimate_bounds_error(j):
     T = 200.0
     rep = quadrature_report(j, T)
     assert rep.rounds == 1
-    lo, hi = _panel_grid(T)
+    edges = _gap_grid(2.0, T, 2)
+    lo, hi = edges[:-1], edges[1:]
     x, w = np.polynomial.legendre.leggauss(64)
     half = 0.5 * (hi - lo)
     pts = (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
@@ -324,7 +325,7 @@ def test_quadrature_error_estimate_bounds_error(j):
 def test_quadrature_report_one_round():
     rep = quadrature_report(0, 1000.0)
     assert rep.rounds == 1
-    assert rep.panels == len(_panel_grid(1000.0)[0])
+    assert rep.panels == len(_gap_grid(2.0, 1000.0, 2)) - 1
     assert rep.evaluations == 15 * rep.panels + 64
     assert rep.tol == 1e-9 and rep.error_estimate <= rep.tol * rep.value
     assert continuous_moment(0, 1000.0) == rep.value
@@ -333,7 +334,7 @@ def test_quadrature_report_one_round():
 def test_quadrature_refines_only_panels_over_their_share(split_batches):
     # at tol 1e-12 the first round's estimate (4e-11 relative) fails; every
     # halved panel costs two new ones, so evaluations fix the split count
-    grid = len(_panel_grid(200.0)[0])
+    grid = len(_gap_grid(2.0, 200.0, 2)) - 1
     coarse = quadrature_report(0, 200.0)
     fine = quadrature_report(0, 200.0, tol=1e-12)
     assert fine.rounds >= 2

@@ -119,10 +119,10 @@ def test_partial_sums_vanish_at_own_order(k):
     # floor, so the bound is per root; six orders of headroom over eps
     ts = trunc_exp_roots(k)
     roots = np.array(ts.roots)
-    own = np.abs(ts.partial_sums(k))
+    own = np.abs(trunc_exp(roots, k))
     assert np.all(own <= 1e-10 * np.exp(np.abs(roots)))
     # one order down the value is pinned: E_{k-1}(theta_g) = -theta_g^k / k!
-    lower = ts.partial_sums(k - 1)
+    lower = trunc_exp(roots, k - 1)
     expected = -(roots**k) / float(math.factorial(k))
     assert np.all(np.abs(lower - expected) <= 1e-4 * np.abs(expected))
 
